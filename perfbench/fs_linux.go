@@ -1,0 +1,29 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsType names the filesystem holding dir, so a journal's fsync cost can
+// be read against where it landed.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	switch uint32(st.Type) {
+	case 0x01021994:
+		return "tmpfs"
+	case 0xef53:
+		return "ext4"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683e:
+		return "btrfs"
+	case 0x794c7630:
+		return "overlayfs"
+	default:
+		return fmt.Sprintf("0x%x", uint32(st.Type))
+	}
+}
