@@ -13,9 +13,9 @@
 //	llmpq-vet -unitmix=false ./...   # disable one analyzer
 //
 // Exit status: 0 clean, 1 findings, 2 load/usage error. A finding is
-// suppressed by `//llmpq:ignore <analyzers> <why>` (legacy, unchecked) or
-// `//llmpq:allow(<analyzer>): <reason>` — the allow form requires a reason
-// and reports directives that no longer suppress anything.
+// suppressed by `//llmpq:allow(<analyzer>): <reason>` on its line or the
+// line above; the reason is required, and a directive that no longer
+// suppresses anything is itself a finding.
 //
 // Analysis is parallel across packages (-parallel, default GOMAXPROCS);
 // loading and type-checking stay serial because the loader shares state.

@@ -88,77 +88,11 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// IgnoreDirective is the comment that suppresses a finding on its own line
-// or the line directly below: //llmpq:ignore <analyzer>[,<analyzer>...]
-// (or bare //llmpq:ignore to suppress every analyzer).
-const IgnoreDirective = "llmpq:ignore"
-
-// ignoreSet maps file → line → analyzer names suppressed there ("" = all).
-type ignoreSet map[string]map[int]map[string]bool
-
-func collectIgnores(fset *token.FileSet, files []*ast.File) ignoreSet {
-	ig := ignoreSet{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, IgnoreDirective) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, IgnoreDirective))
-				// Only the first whitespace-delimited token is the analyzer
-				// list; anything after it is the human justification.
-				if fields := strings.Fields(rest); len(fields) > 0 {
-					rest = fields[0]
-				}
-				pos := fset.Position(c.Pos())
-				m := ig[pos.Filename]
-				if m == nil {
-					m = map[int]map[string]bool{}
-					ig[pos.Filename] = m
-				}
-				names := map[string]bool{}
-				if rest == "" {
-					names[""] = true
-				} else {
-					for _, n := range strings.Split(rest, ",") {
-						names[strings.TrimSpace(n)] = true
-					}
-				}
-				// The directive covers its own line (trailing comment) and
-				// the next line (comment-above style).
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					if m[line] == nil {
-						m[line] = map[string]bool{}
-					}
-					for n := range names {
-						m[line][n] = true
-					}
-				}
-			}
-		}
-	}
-	return ig
-}
-
-func (ig ignoreSet) suppressed(d Diagnostic) bool {
-	m, ok := ig[d.File]
-	if !ok {
-		return false
-	}
-	names, ok := m[d.Line]
-	if !ok {
-		return false
-	}
-	return names[""] || names[d.Analyzer]
-}
-
-// AllowDirective is the justified, per-analyzer suppression:
-// //llmpq:allow(<analyzer>): <reason>. Unlike llmpq:ignore it names
-// exactly one analyzer, the reason is mandatory, and a directive that
-// suppresses nothing is itself a finding — stale allowances rot the
-// contract, so they fail the build.
+// AllowDirective is the one suppression syntax:
+// //llmpq:allow(<analyzer>): <reason>, on the finding's line or the line
+// above. It names exactly one analyzer, the reason is mandatory, and a
+// directive that suppresses nothing is itself a finding — stale
+// allowances rot the contract, so they fail the build.
 const AllowDirective = "llmpq:allow"
 
 // allowMetaName is the pseudo-analyzer findings about the directives
@@ -258,7 +192,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 
 // RunPackageFacts runs the analyzers over one loaded package under the
 // given cross-package facts (nil = manifest-only) and returns the
-// surviving diagnostics — ignore and allow directives applied, directive
+// surviving diagnostics — allow directives applied, directive
 // misuse reported — sorted by position.
 func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagnostic {
 	if facts == nil {
@@ -280,14 +214,7 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagno
 		}
 		a.Run(pass)
 	}
-	ig := collectIgnores(pkg.Fset, pkg.Files)
-	kept := diags[:0]
-	for _, d := range diags {
-		if !ig.suppressed(d) {
-			kept = append(kept, d)
-		}
-	}
-	kept = applyAllows(collectAllows(pkg.Fset, pkg.Files, ran), kept, ran)
+	kept := applyAllows(collectAllows(pkg.Fset, pkg.Files, ran), diags, ran)
 	sort.Slice(kept, func(i, j int) bool {
 		if kept[i].File != kept[j].File {
 			return kept[i].File < kept[j].File

@@ -18,6 +18,6 @@ func build() []int {
 	p.KVBits = 12         // want "bitwidth 12"
 	q.KVBits = 0          // 0 is the unset/FP16 sentinel
 	layerBits := 5        // want "bitwidth 5"
-	demoBits := 9         //llmpq:ignore bitwidthset demo of a justified suppression
+	demoBits := 9         //llmpq:allow(bitwidthset): demo of a justified suppression
 	return []int{sum, p.KVBits, q.KVBits, layerBits, demoBits}
 }

@@ -12,7 +12,7 @@ func draw(seed int64) int {
 	src := rand.NewSource(time.Now().UnixNano()) // want "time.Now"
 	n += rand.New(src).Intn(10)
 	rand.Shuffle(2, func(i, j int) {}) // want "shared global source"
-	n += rand.Intn(2)                  //llmpq:ignore seededrand demo of a justified suppression
+	n += rand.Intn(2)                  //llmpq:allow(seededrand): demo of a justified suppression
 	return n
 }
 

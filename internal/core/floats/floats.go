@@ -22,7 +22,7 @@ func EqTol(a, b, tol float64) bool {
 		return false
 	}
 	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b //llmpq:ignore floateq — infinities are exact
+		return a == b //llmpq:allow(floateq): infinities are exact
 	}
 	scale := 1.0
 	if aa := math.Abs(a); aa > scale {

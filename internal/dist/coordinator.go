@@ -9,13 +9,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/assigner"
-	"repro/internal/costmodel"
 	"repro/internal/failover"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -146,50 +146,15 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Result summarizes one coordinated run; it mirrors failover.Report so
-// the multi-process path reports exactly what the in-process controller
-// would.
+// Result summarizes one coordinated run: the failover.Report the
+// in-process controller would produce for the same transitions, plus the
+// workers behind them.
 type Result struct {
-	// First is the initial run's stats; zero when Replanned (the engine
-	// halted — Lost describes the partial run).
-	First rt.Stats
-	// Replanned reports a permanent worker loss was healed mid-run.
-	Replanned bool
-	Lost      *rt.DeviceLostError
+	failover.Report
 	// LostWorker names the worker whose lease expired.
 	LostWorker string
-	// LostDevice names the physical device serving the stage that halted
-	// the engine (first of LostDevices).
-	LostDevice string
-	// LostDevices names every physical device declared lost with the
-	// worker — one per stage it served, all healed in a single replan.
-	LostDevices  []string
-	DegradedPlan *assigner.Plan
-	MovedLayers  int
-	Migration    costmodel.MigrationBreakdown
-	// Resumed is the watermark-resumed run on the degraded plan.
-	Resumed rt.Stats
-	// TotalTokens is durable-at-loss plus resumed output; equals a clean
-	// run's TokensOut exactly.
-	TotalTokens     int
-	TotalLatencySec float64
-
-	// Restored reports the lost worker rejoined mid-run and a
-	// capacity-restoring replan brought its devices back.
-	Restored bool
 	// HealedWorkers names the rejoined workers admitted by the restore.
 	HealedWorkers []string
-	// RestoredDevices names the physical devices replanned back in.
-	RestoredDevices []string
-	// RestoreHalt is the voluntary halt that triggered the restore.
-	RestoreHalt  *rt.RestoreHaltError
-	RestoredPlan *assigner.Plan
-	// RestoreMovedLayers / RestoreMigration are the migrate-back bill.
-	RestoreMovedLayers int
-	RestoreMigration   costmodel.MigrationBreakdown
-	// Final is the run that finished on the restored plan (zero unless
-	// Restored; TotalTokens and TotalLatencySec then fold it in).
-	Final rt.Stats
 }
 
 // errMemberLost signals a lease expiry to a waiting stage call.
@@ -318,14 +283,6 @@ func (m *member) rejoin() {
 	m.lastHeard = time.Now()
 }
 
-// healReady reports a rejoined worker whose lease has held for the
-// dwell — attached, not re-lost, dwell elapsed.
-func (m *member) healReady(dwell time.Duration) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rejoining && !m.lost && m.conn != nil && time.Since(m.rejoinedAt) >= dwell
-}
-
 // awaitConn returns the member's live connection, waiting through a
 // detach window; it fails with errMemberLost once the lease expires.
 func (m *member) awaitConn(ctx context.Context) (*wire, error) {
@@ -391,6 +348,13 @@ type coordinator struct {
 
 	// Deterministic counters (sim registry).
 	stageCalls *obs.Counter
+
+	// cmu guards conns — every connection handleConn admitted and has not
+	// yet released — and dead, set once the coordinator stops admitting:
+	// at an injected crash, and when Serve returns.
+	cmu   sync.Mutex
+	conns map[*wire]struct{}
+	dead  bool
 }
 
 // Serve runs one offline workload on the distributed control plane:
@@ -436,6 +400,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	co.ctx, co.cancel = context.WithCancel(ctx)
 	defer co.cancel()
+	defer co.closeConns()
 	go co.acceptLoop()
 	go co.sweeper()
 
@@ -453,52 +418,16 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	co.setWorkersGauge(len(live))
 	cfg.Logf("membership complete: %d workers, %d stages", len(live), curPlan.NumStages())
 
-	if co.recovered != nil && co.epoch > 0 {
-		// The crash happened after a failover replan. The loss instant
-		// was wall-clock dependent (a lease expiry) and cannot be
-		// re-derived, so the journaled replan record is load-bearing:
-		// resume the degraded plan from the journaled watermark.
-		return co.resumeReplanned(live)
-	}
-
-	// Fresh run, or recovery of a crash that predates any replan. The
-	// recovered case deliberately re-executes the whole deterministic
-	// engine rather than resuming mid-stream: simulated time is virtual,
-	// so re-execution costs only wall clock proportional to the event
-	// count, and it is the only way the final artifacts (sim metrics,
-	// trace, stdout summary) come out byte-identical to a run that never
-	// crashed — a mid-epoch resume would be correct but different.
-	eng, err := rt.NewEngine(cfg.Spec, cfg.Plan, cfg.Timer)
-	if err != nil {
-		return nil, err
-	}
-	eng.StageTimer = co.stageTime
-	eng.OnRoundCommit = co.onRoundCommit
-	eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
-	stats, err := eng.Run()
+	res, cur, err := co.replayed()
 	if err == nil {
-		if jerr := co.finishJournal(); jerr != nil {
-			co.shutdown("failed")
-			return nil, jerr
-		}
-		co.shutdown("done")
-		return &Result{First: stats, TotalTokens: stats.TokensOut, TotalLatencySec: stats.LatencySec}, nil
+		err = co.run(res, cur)
 	}
-	if errors.Is(err, ErrInjectedCoordCrash) {
+	switch {
+	case errors.Is(err, ErrInjectedCoordCrash):
 		return nil, err
-	}
-	var lost *rt.DeviceLostError
-	if !errors.As(err, &lost) {
+	case err != nil:
 		co.shutdown("failed")
 		return nil, err
-	}
-	res, ferr := co.failover(lost)
-	if ferr != nil {
-		if errors.Is(ferr, ErrInjectedCoordCrash) {
-			return nil, ferr
-		}
-		co.shutdown("failover failed")
-		return nil, ferr
 	}
 	co.shutdown("done")
 	return res, nil
@@ -621,6 +550,21 @@ func (co *coordinator) seedRecovered(st *RecoveredState) error {
 	co.baseDurable = cur.DurableTokens
 	co.payload = cur.Payload
 	co.recovered = st
+	if co.epoch == 0 {
+		return nil // re-executed from round 0 (see run)
+	}
+	if lr := st.LastRound; lr != nil && lr.Epoch == co.epoch && lr.Watermark > co.startRound {
+		// The replanned epoch had already committed rounds before the
+		// crash; resume past them rather than re-earning their tokens.
+		co.startRound, co.baseDurable = lr.Watermark, lr.DurableTokens
+	}
+	if g := co.cfg.Spec.Work.Generate; co.startRound >= g {
+		// Every round was durable but the Done record never landed:
+		// re-run the final round (cheap, idempotent) so the engine has
+		// work to do and the stats stay well-formed.
+		co.startRound = g - 1
+		co.baseDurable = co.cfg.Spec.Work.GlobalBatch * co.startRound
+	}
 	return nil
 }
 
@@ -637,7 +581,7 @@ func (co *coordinator) awaitMembership() error {
 		return nil
 	case <-joinTimer.C:
 		if co.recovered != nil && co.attachedCount() >= 1 {
-			for _, m := range co.absentMembers() {
+			for _, m := range co.membersWhere(absent) {
 				if m.markLost() {
 					co.ctrlInc("llmpq_dist_lease_expiries_total")
 					co.cfg.Logf("worker %s did not reattach within %s; declared lost", m.name, co.cfg.JoinTimeout)
@@ -648,119 +592,239 @@ func (co *coordinator) awaitMembership() error {
 			return nil
 		}
 		return fmt.Errorf("dist: only %d of %d workers joined within %s",
-			co.memberCount(), co.cfg.Workers, co.cfg.JoinTimeout)
+			co.attachedCount(), co.cfg.Workers, co.cfg.JoinTimeout)
 	case <-co.ctx.Done():
 		return co.ctx.Err()
 	}
 }
 
-// resumeReplanned finishes a recovered run whose crash postdates a
-// failover replan: re-adopt the journaled current plan — degraded, or
-// restored if a heal was journaled before the crash — and resume from
-// the latest durable watermark. Token conservation is exact —
-// durable-at-resume plus the resumed output equals a clean run's total —
-// but no byte-identity is promised here (the loss instant was wall-clock
-// data the clean run never saw), matching the uninterrupted failover
-// path's contract. A recovered coordinator does not re-arm the heal: the
-// degraded Outcome it would replan from died with the original process,
-// so an un-healed loss stays degraded to completion.
-func (co *coordinator) resumeReplanned(live []*member) (*Result, error) {
-	cfg := co.cfg
+// replayed rebuilds the transitions a recovered journal holds — each
+// replan or restore epoch paired with the write-ahead record before it —
+// and re-exports them (failover.Observe), so the recovered run's sim
+// registry still reports the epochs it resumes from. It returns the
+// result so far and the current epoch's outcome (nil at epoch 0, and on a
+// fresh start).
+func (co *coordinator) replayed() (*Result, *failover.Outcome, error) {
+	res := &Result{}
 	st := co.recovered
-	rr := st.Replans[len(st.Replans)-1]
-	plan := co.payload.Plan
-
-	start, base := co.startRound, co.baseDurable
-	if lr := st.LastRound; lr != nil && lr.Epoch == co.epoch && lr.Watermark > start {
-		// The degraded run had already committed rounds before the
-		// crash; resume past them rather than re-earning their tokens.
-		start, base = lr.Watermark, lr.DurableTokens
+	if st == nil {
+		return res, nil, nil
 	}
-	if g := cfg.Spec.Work.Generate; start >= g {
-		// Every round was durable but the Done record never landed:
-		// re-run the final round (cheap, idempotent) so the engine has
-		// work to do and the stats stay well-formed.
-		start = g - 1
-		base = cfg.Spec.Work.GlobalBatch * start
+	var cur *failover.Outcome
+	var replans, restores int
+	for _, pr := range st.Plans[1:] {
+		spec := *co.cfg.Spec
+		spec.Cluster = pr.Payload.Cluster
+		out := &failover.Outcome{Degraded: &spec, Plan: pr.Payload.Plan}
+		switch {
+		case pr.Reason == "replan" && replans < len(st.Replans):
+			rr := st.Replans[replans]
+			replans++
+			out.Lost = &rt.DeviceLostError{
+				Stage: rr.LostStage, Device: rr.LostDevice, AtSec: rr.AtSec,
+				Watermark: rr.Watermark, DurableTokens: rr.DurableTokens, PrefillDone: rr.PrefillDone,
+			}
+			out.LostDevices, out.MovedLayers, out.Migration, out.StartRound = rr.LostDevices, rr.MovedLayers, rr.Migration, rr.StartRound
+			if len(rr.LostDevices) > 0 {
+				out.LostDevice = rr.LostDevices[0]
+			}
+			res.LostWorker = rr.LostWorker
+		case pr.Reason == "restore" && restores < len(st.Restores):
+			hr := st.Restores[restores]
+			restores++
+			out.Halt = &rt.RestoreHaltError{
+				AtSec: hr.AtSec, Watermark: hr.Watermark,
+				DurableTokens: hr.DurableTokens, PrefillDone: hr.PrefillDone,
+			}
+			out.RestoredDevices, out.MovedLayers, out.Migration, out.StartRound = hr.ReturnedDevices, hr.MovedLayers, hr.Migration, hr.StartRound
+			res.HealedWorkers = hr.HealedWorkers
+		default:
+			return nil, nil, fmt.Errorf("dist: recover: plan epoch %d (%s) has no journaled transition", pr.Epoch, pr.Reason)
+		}
+		failover.Observe(co.cfg.Obs, co.cfg.Spans, out)
+		res.Apply(out)
+		cur = out
 	}
+	return res, cur, nil
+}
 
-	degraded := *cfg.Spec
-	degraded.Cluster = co.payload.Cluster
-	eng, err := rt.NewEngine(&degraded, plan, cfg.Timer)
+// run is the coordinator's epoch loop. Each pass runs the current epoch's
+// plan from its start round with remote stage-time evaluation. A
+// permanent worker loss journals, re-solves on the survivors and
+// reconfigures them (shrink); a restore halt replans back onto the healed
+// workers, or continues degraded when none remains (grow); completion
+// seals the journal. Like the chaos schedules, a run heals at most one
+// loss and one restore.
+//
+// A fresh run and the recovery of a crash that predates any replan both
+// start at epoch 0 and round 0: the recovered case deliberately
+// re-executes the whole deterministic engine rather than resuming
+// mid-stream. Simulated time is virtual, so re-execution costs only wall
+// clock proportional to the event count, and it is the only way the final
+// artifacts (sim metrics, trace, stdout summary) come out byte-identical
+// to a run that never crashed. A crash after a replan cannot be
+// re-executed (the loss instant was wall-clock data), so seedRecovered
+// places the loop in the journaled epoch at its durable watermark
+// instead, and the recovered coordinator does not re-arm the heal.
+func (co *coordinator) run(res *Result, cur *failover.Outcome) error {
+	cfg := co.cfg
+	armed := false
+	for {
+		spec, plan := cfg.Spec, cfg.Plan
+		if cur != nil {
+			spec, plan = cur.Degraded, cur.Plan
+		}
+		eng, err := rt.NewEngine(spec, plan, cfg.Timer)
+		if err != nil {
+			return err
+		}
+		eng.StartRound = co.startRound
+		eng.StageTimer = co.stageTime
+		eng.OnRoundCommit = co.onRoundCommit
+		eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
+		co.healArmed.Store(armed)
+		stats, err := eng.Run()
+		co.healArmed.Store(false)
+		var lost *rt.DeviceLostError
+		var halt *rt.RestoreHaltError
+		switch {
+		case err == nil:
+			res.Finish(stats, co.baseDurable)
+			return co.finishJournal()
+		case errors.Is(err, ErrInjectedCoordCrash):
+			return err
+		case errors.As(err, &lost) && !res.Replanned:
+			if cur, err = co.shrink(res, lost); err != nil {
+				return err
+			}
+			// Arm the heal for the first degraded epoch: the lost worker may
+			// rejoin mid-epoch, and once its lease has held for the dwell
+			// the next stage call halts this engine for the restore.
+			armed = cfg.Rejoin
+		case errors.As(err, &halt) && armed:
+			if cur, err = co.grow(res, cur, halt); err != nil {
+				return err
+			}
+			armed = false
+		default:
+			return fmt.Errorf("dist: epoch %d run failed: %w", co.epoch, err)
+		}
+	}
+}
+
+// shrink heals a permanent worker loss. The worker is the failure domain,
+// not the stage: every device it served leaves in this one transition,
+// which re-solves and re-ships weights once instead of cascading through
+// a failover cycle per stage.
+func (co *coordinator) shrink(res *Result, lost *rt.DeviceLostError) (*failover.Outcome, error) {
+	cfg := co.cfg
+	drop := []int{lost.Device}
+	co.mu.Lock()
+	if lost.Stage < len(co.owners) {
+		dead := co.owners[lost.Stage]
+		res.LostWorker = dead.name
+		for j, m := range co.owners {
+			if m == dead && cfg.Plan.Order[j] != lost.Device {
+				drop = append(drop, cfg.Plan.Order[j])
+			}
+		}
+	}
+	co.mu.Unlock()
+	cfg.Logf("worker %s lost (stage %d, devices %v) at %.3fs; replanning on survivors",
+		res.LostWorker, lost.Stage, drop, lost.AtSec)
+	out, err := failover.Transition(cfg.Spec, cfg.Plan, cfg.Timer, nil, failover.Members(cfg.Spec.Cluster, drop...), lost, cfg.Obs, cfg.CtrlObs, cfg.Spans)
 	if err != nil {
 		return nil, err
 	}
-	eng.StartRound = start
-	eng.StageTimer = co.stageTime
-	eng.OnRoundCommit = co.onRoundCommit
-	eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
+	res.Apply(out)
+	return out, co.adopt(out, nil, &Record{Type: RecReplan, Replan: &ReplanRecord{
+		LostWorker: res.LostWorker, LostStage: lost.Stage, LostDevice: lost.Device,
+		AtSec: lost.AtSec, Watermark: lost.Watermark, DurableTokens: lost.DurableTokens,
+		PrefillDone: lost.PrefillDone, LostDevices: out.LostDevices,
+		MovedLayers: out.MovedLayers, Migration: out.Migration, StartRound: out.StartRound,
+	}})
+}
 
-	lost := &rt.DeviceLostError{
-		Stage: rr.LostStage, Device: rr.LostDevice, AtSec: rr.AtSec,
-		Watermark: rr.Watermark, DurableTokens: rr.DurableTokens, PrefillDone: rr.PrefillDone,
-	}
-	// Re-export the failover families from the journal so the recovered
-	// run's sim registry still reports the replan it resumed from.
-	failover.ObserveReplayed(cfg.Obs, cfg.Spans, lost, rr.LostDevices, rr.MovedLayers, rr.Migration, rr.StartRound)
-	var hr *RestoreRecord
-	var halt *rt.RestoreHaltError
-	if st.Plans[len(st.Plans)-1].Reason == "restore" && len(st.Restores) > 0 {
-		// The crash postdates a journaled heal: the current payload is the
-		// restored plan, and the restore families replay alongside it.
-		hr = st.Restores[len(st.Restores)-1]
-		halt = &rt.RestoreHaltError{
-			AtSec: hr.AtSec, Watermark: hr.Watermark,
-			DurableTokens: hr.DurableTokens, PrefillDone: hr.PrefillDone,
-		}
-		failover.ObserveRestoreReplayed(cfg.Obs, cfg.Spans, halt, hr.ReturnedDevices, hr.MovedLayers, hr.Migration, hr.StartRound)
-	}
-	cfg.Logf("resuming replanned epoch %d from round %d on %d workers", co.epoch, start, len(live))
-
-	resumed, err := eng.Run()
-	if err != nil {
-		if errors.Is(err, ErrInjectedCoordCrash) {
-			return nil, err
-		}
-		co.shutdown("failed")
-		return nil, fmt.Errorf("dist: recovered resume failed: %w", err)
-	}
-	if jerr := co.finishJournal(); jerr != nil {
-		co.shutdown("failed")
-		return nil, jerr
-	}
-	co.shutdown("done")
-	res := &Result{
-		Replanned:       true,
-		Lost:            lost,
-		LostWorker:      rr.LostWorker,
-		LostDevices:     rr.LostDevices,
-		DegradedPlan:    plan,
-		MovedLayers:     rr.MovedLayers,
-		Migration:       rr.Migration,
-		Resumed:         resumed,
-		TotalTokens:     base + resumed.TokensOut,
-		TotalLatencySec: rr.AtSec + rr.Migration.TransferSec + resumed.LatencySec,
-	}
-	if len(rr.LostDevices) > 0 {
-		res.LostDevice = rr.LostDevices[0]
-	}
-	if hr != nil {
-		// The resumed run served the restored plan; report it as the heal's
-		// final leg, mirroring the uninterrupted restore path.
-		res.Restored = true
-		res.HealedWorkers = hr.HealedWorkers
-		res.RestoredDevices = hr.ReturnedDevices
+// grow answers the degraded epoch's restore halt: replan capacity back
+// onto the healed workers' devices, warm-started by the pre-loss plan.
+// When the healed worker vanished again between the halt and the replan,
+// the degraded epoch continues from the halt watermark instead.
+func (co *coordinator) grow(res *Result, cur *failover.Outcome, halt *rt.RestoreHaltError) (*failover.Outcome, error) {
+	cfg := co.cfg
+	healed := co.healedMembers()
+	if len(healed) == 0 {
+		cfg.Logf("restore halt at %.3fs found no stable healed worker; continuing degraded", halt.AtSec)
 		res.RestoreHalt = halt
-		res.RestoredPlan = plan
-		// The degraded plan is the epoch before the restore's.
-		res.DegradedPlan = st.Plans[len(st.Plans)-2].Payload.Plan
-		res.RestoreMovedLayers = hr.MovedLayers
-		res.RestoreMigration = hr.Migration
-		res.Final = resumed
-		res.Resumed = rt.Stats{}
-		res.TotalLatencySec = rr.AtSec + rr.Migration.TransferSec + hr.AtSec + hr.Migration.TransferSec + resumed.LatencySec
+		co.startRound, co.baseDurable = halt.Watermark, halt.DurableTokens
+		return cur, nil
 	}
-	return res, nil
+	out, err := failover.Transition(cfg.Spec, cfg.Plan, cfg.Timer, cur, failover.Members(cfg.Spec.Cluster), halt, cfg.Obs, cfg.CtrlObs, cfg.Spans)
+	if err != nil {
+		return nil, err
+	}
+	res.Apply(out)
+	for _, m := range healed {
+		res.HealedWorkers = append(res.HealedWorkers, m.name)
+	}
+	return out, co.adopt(out, healed, &Record{Type: RecRestore, Restore: &RestoreRecord{
+		HealedWorkers: res.HealedWorkers, ReturnedDevices: out.RestoredDevices,
+		AtSec: halt.AtSec, Watermark: halt.Watermark, DurableTokens: halt.DurableTokens,
+		PrefillDone: halt.PrefillDone, MovedLayers: out.MovedLayers,
+		Migration: out.Migration, StartRound: out.StartRound,
+	}})
+}
+
+// adopt makes a transition's plan the next epoch. The transition is
+// journaled write-ahead, before any worker acts on it: its instant (a
+// lease or dwell expiry) is wall-clock data a recovered coordinator
+// cannot re-derive, so the transition record plus the new plan epoch are
+// the journal's load-bearing entries. The healed members then complete
+// their join barrier — the new plan is what admits them back to serving —
+// and the other serving members follow.
+func (co *coordinator) adopt(out *failover.Outcome, healed []*member, rec *Record) error {
+	serving := append(co.liveMembers(), healed...)
+	sort.Slice(serving, func(i, j int) bool { return serving[i].name < serving[j].name })
+	if len(serving) == 0 {
+		return fmt.Errorf("dist: no surviving workers to resume on")
+	}
+	payload := NewPlanPayload(out.Degraded, out.Plan)
+	co.mu.Lock()
+	co.payload = payload
+	co.mu.Unlock()
+	co.epoch++
+	co.startRound, co.baseDurable = out.StartRound, out.DurableTokens
+	if co.jnl != nil {
+		reason := "replan"
+		if out.Halt != nil {
+			reason = "restore"
+		}
+		co.jnl.append(rec)
+		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(co.epoch, reason, payload, out.StartRound, out.DurableTokens)})
+		if err := co.jnl.Err(); err != nil {
+			return err
+		}
+	}
+	for _, m := range healed {
+		if err := co.reconfigure(m, payload); err != nil {
+			return fmt.Errorf("dist: reconfigure healed %s: %w", m.name, err)
+		}
+		m.mu.Lock()
+		m.rejoining = false
+		m.mu.Unlock()
+	}
+	for _, m := range serving {
+		if slices.Contains(healed, m) {
+			continue
+		}
+		if err := co.reconfigure(m, payload); err != nil {
+			return fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
+		}
+	}
+	co.assignStages(out.Plan, serving)
+	co.setWorkersGauge(len(serving))
+	co.cfg.Logf("epoch %d: %d stages on %d workers (healed %d), %d layers migrate (%.0f bytes), resume round %d",
+		co.epoch, out.Plan.NumStages(), len(serving), len(healed), out.MovedLayers, out.Migration.TotalBytes, out.StartRound)
+	return nil
 }
 
 // onRoundCommit is the Engine.OnRoundCommit callback: journal every
@@ -785,295 +849,57 @@ func (co *coordinator) finishJournal() error {
 	return co.jnl.Err()
 }
 
-// crash simulates sudden coordinator death for CoordFailAfter: sever
-// every worker connection without a farewell, leave the journal exactly
-// as a SIGKILL would (no Done record), and stop the control loops. With
-// a Die hook the process never returns from it.
+// crash simulates sudden coordinator death for CoordFailAfter, leaving
+// the journal exactly as a SIGKILL would (no Done record). Like a dying
+// process it stops listening and refuses admission before it severs
+// every connection, so no worker can redial into the dead coordinator in
+// between. With a Die hook the process never returns from it.
 func (co *coordinator) crash() {
 	co.cfg.Logf("injected coordinator crash after %d stage calls", co.cfg.CoordFailAfter)
 	if co.cfg.Die != nil {
 		co.cfg.Die()
 	}
-	co.mu.Lock()
-	members := make([]*member, 0, len(co.members))
-	for _, m := range co.members {
-		members = append(members, m)
-	}
-	co.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		w := m.conn
-		m.conn = nil
-		m.mu.Unlock()
-		if w != nil {
-			w.close()
-		}
-	}
+	_ = co.cfg.Listener.Close() //llmpq:allow(errdrop): a dying coordinator has no one left to tell
+	co.closeConns()
 	if co.jnl != nil {
 		co.jnl.close()
 	}
 	co.cancel()
 }
 
-// failover heals a permanent worker loss: replan on the reduced
-// cluster, reconfigure the survivors, reassign stages, and resume the
-// engine from the watermark.
-func (co *coordinator) failover(lost *rt.DeviceLostError) (*Result, error) {
-	cfg := co.cfg
-	deadName := ""
-	var coLost []int
-	co.mu.Lock()
-	if lost.Stage < len(co.owners) {
-		dead := co.owners[lost.Stage]
-		deadName = dead.name
-		// The worker is the failure domain, not the stage: every other
-		// stage it served loses its device with it. Declaring them all in
-		// this one replan re-solves and re-ships weights once, instead of
-		// cascading through a failover cycle per stage.
-		for j, m := range co.owners {
-			if m == dead && cfg.Plan.Order[j] != lost.Device {
-				coLost = append(coLost, cfg.Plan.Order[j])
-			}
-		}
-		sort.Ints(coLost)
+// track registers a connection handleConn is admitting; false means the
+// coordinator is dead and the connection must be dropped.
+func (co *coordinator) track(w *wire) bool {
+	co.cmu.Lock()
+	defer co.cmu.Unlock()
+	if co.dead {
+		return false
 	}
-	co.mu.Unlock()
-	cfg.Logf("worker %s lost (stage %d, device %d, co-lost devices %v) at %.3fs; replanning on survivors",
-		deadName, lost.Stage, lost.Device, coLost, lost.AtSec)
-
-	out, err := failover.ReplanMulti(cfg.Spec, cfg.Plan, cfg.Timer, lost, coLost, cfg.Obs, cfg.CtrlObs, cfg.Spans)
-	if err != nil {
-		return nil, err
+	if co.conns == nil {
+		co.conns = make(map[*wire]struct{})
 	}
-	survivors := co.liveMembers()
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("dist: no surviving workers to resume on")
-	}
-	payload := NewPlanPayload(out.Degraded, out.Plan)
-	co.mu.Lock()
-	co.payload = payload
-	co.mu.Unlock()
-	// Make the replan durable before any survivor acts on it: the loss
-	// instant is wall-clock data a recovered coordinator cannot
-	// re-derive, so the replan record plus the degraded plan epoch are
-	// the journal's only load-bearing entries.
-	co.epoch++
-	co.startRound, co.baseDurable = out.StartRound, out.DurableTokens
-	if co.jnl != nil {
-		co.jnl.append(&Record{Type: RecReplan, Replan: &ReplanRecord{
-			LostWorker: deadName, LostStage: lost.Stage, LostDevice: lost.Device,
-			AtSec: lost.AtSec, Watermark: lost.Watermark, DurableTokens: lost.DurableTokens,
-			PrefillDone: lost.PrefillDone, LostDevices: out.LostDevices,
-			MovedLayers: out.MovedLayers, Migration: out.Migration, StartRound: out.StartRound,
-		}})
-		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(co.epoch, "replan", payload, out.StartRound, out.DurableTokens)})
-		if jerr := co.jnl.Err(); jerr != nil {
-			return nil, jerr
-		}
-	}
-	for _, m := range survivors {
-		if err := co.reconfigure(m, payload); err != nil {
-			return nil, fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
-		}
-	}
-	co.assignStages(out.Plan, survivors)
-	co.setWorkersGauge(len(survivors))
-	cfg.Logf("replanned: %d stages on %d survivors, %d layers migrate (%.0f bytes), resume round %d",
-		out.Plan.NumStages(), len(survivors), out.MovedLayers, out.Migration.TotalBytes, out.StartRound)
-
-	eng, err := rt.NewEngine(out.Degraded, out.Plan, cfg.Timer)
-	if err != nil {
-		return nil, err
-	}
-	eng.StartRound = out.StartRound
-	eng.StageTimer = co.stageTime
-	eng.OnRoundCommit = co.onRoundCommit
-	eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
-	if cfg.Rejoin {
-		// Arm the heal: the lost worker may rejoin mid-epoch, and once
-		// its lease has held for the dwell the next stage call halts this
-		// engine for the capacity-restoring replan.
-		co.healArmed.Store(true)
-	}
-	resumed, err := eng.Run()
-	co.healArmed.Store(false)
-	if err != nil {
-		if errors.Is(err, ErrInjectedCoordCrash) {
-			return nil, err
-		}
-		var halt *rt.RestoreHaltError
-		if errors.As(err, &halt) {
-			return co.restore(lost, deadName, out, halt)
-		}
-		return nil, fmt.Errorf("dist: resumed run failed: %w", err)
-	}
-	if jerr := co.finishJournal(); jerr != nil {
-		return nil, jerr
-	}
-	return &Result{
-		Replanned:       true,
-		Lost:            lost,
-		LostWorker:      deadName,
-		LostDevice:      out.LostDevice,
-		LostDevices:     out.LostDevices,
-		DegradedPlan:    out.Plan,
-		MovedLayers:     out.MovedLayers,
-		Migration:       out.Migration,
-		Resumed:         resumed,
-		TotalTokens:     out.DurableTokens + resumed.TokensOut,
-		TotalLatencySec: lost.AtSec + out.Migration.TransferSec + resumed.LatencySec,
-	}, nil
+	co.conns[w] = struct{}{}
+	return true
 }
 
-// restore finishes a degraded run that voluntarily halted because the
-// lost worker healed: replan capacity back onto the returned devices
-// (warm-started by the original pre-loss plan), journal the heal
-// write-ahead, re-run the join barrier only for the returning members
-// (their reconfigure round-trip), and drive the restored plan from the
-// halt watermark to completion.
-func (co *coordinator) restore(lost *rt.DeviceLostError, lostWorker string, degraded *failover.Outcome, halt *rt.RestoreHaltError) (*Result, error) {
-	cfg := co.cfg
-	healed := co.healedMembers()
-	if len(healed) == 0 {
-		// The healed worker vanished again between the halt trigger and
-		// the replan: finish the run degraded from the halt watermark.
-		cfg.Logf("restore halt at %.3fs found no stable healed worker; continuing degraded", halt.AtSec)
-		return co.resumeDegraded(lost, lostWorker, degraded, halt)
-	}
-	rout, err := failover.ReplanRestore(cfg.Spec, cfg.Plan, cfg.Timer, degraded, halt, nil, cfg.Obs, cfg.CtrlObs, cfg.Spans)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(healed))
-	for _, m := range healed {
-		names = append(names, m.name)
-	}
-	payload := NewPlanPayload(rout.Restored, rout.Plan)
-	co.mu.Lock()
-	co.payload = payload
-	co.mu.Unlock()
-	// The heal transition is journaled write-ahead, before any worker
-	// acts on the restored plan: like the loss, the heal instant is
-	// wall-clock data (a dwell expiry) a recovered coordinator cannot
-	// re-derive.
-	co.epoch++
-	co.startRound, co.baseDurable = rout.StartRound, rout.DurableTokens
-	if co.jnl != nil {
-		co.jnl.append(&Record{Type: RecRestore, Restore: &RestoreRecord{
-			HealedWorkers: names, ReturnedDevices: rout.RestoredDevices,
-			AtSec: halt.AtSec, Watermark: halt.Watermark, DurableTokens: halt.DurableTokens,
-			PrefillDone: halt.PrefillDone, MovedLayers: rout.MovedLayers,
-			Migration: rout.Migration, StartRound: rout.StartRound,
-		}})
-		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(co.epoch, "restore", payload, rout.StartRound, rout.DurableTokens)})
-		if jerr := co.jnl.Err(); jerr != nil {
-			return nil, jerr
-		}
-	}
-	// The returning members complete their join barrier first — the
-	// restored plan is what admits them back to serving — then the
-	// survivors follow.
-	for _, m := range healed {
-		if err := co.reconfigure(m, payload); err != nil {
-			return nil, fmt.Errorf("dist: reconfigure healed %s: %w", m.name, err)
-		}
-		m.mu.Lock()
-		m.rejoining = false
-		m.mu.Unlock()
-	}
-	healedSet := make(map[string]bool, len(healed))
-	for _, m := range healed {
-		healedSet[m.name] = true
-	}
-	live := co.liveMembers()
-	for _, m := range live {
-		if healedSet[m.name] {
-			continue
-		}
-		if err := co.reconfigure(m, payload); err != nil {
-			return nil, fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
-		}
-	}
-	co.assignStages(rout.Plan, live)
-	co.setWorkersGauge(len(live))
-	cfg.Logf("restored: %d stages on %d workers (healed %v), %d layers migrate back (%.0f bytes), resume round %d",
-		rout.Plan.NumStages(), len(live), names, rout.MovedLayers, rout.Migration.TotalBytes, rout.StartRound)
-
-	eng, err := rt.NewEngine(rout.Restored, rout.Plan, cfg.Timer)
-	if err != nil {
-		return nil, err
-	}
-	eng.StartRound = rout.StartRound
-	eng.StageTimer = co.stageTime
-	eng.OnRoundCommit = co.onRoundCommit
-	eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
-	final, err := eng.Run()
-	if err != nil {
-		if errors.Is(err, ErrInjectedCoordCrash) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("dist: restored run failed: %w", err)
-	}
-	if jerr := co.finishJournal(); jerr != nil {
-		return nil, jerr
-	}
-	return &Result{
-		Replanned:          true,
-		Lost:               lost,
-		LostWorker:         lostWorker,
-		LostDevice:         degraded.LostDevice,
-		LostDevices:        degraded.LostDevices,
-		DegradedPlan:       degraded.Plan,
-		MovedLayers:        degraded.MovedLayers,
-		Migration:          degraded.Migration,
-		Restored:           true,
-		HealedWorkers:      names,
-		RestoredDevices:    rout.RestoredDevices,
-		RestoreHalt:        halt,
-		RestoredPlan:       rout.Plan,
-		RestoreMovedLayers: rout.MovedLayers,
-		RestoreMigration:   rout.Migration,
-		Final:              final,
-		TotalTokens:        rout.DurableTokens + final.TokensOut,
-		TotalLatencySec:    lost.AtSec + degraded.Migration.TransferSec + halt.AtSec + rout.Migration.TransferSec + final.LatencySec,
-	}, nil
+func (co *coordinator) untrack(w *wire) {
+	co.cmu.Lock()
+	delete(co.conns, w)
+	co.cmu.Unlock()
 }
 
-// resumeDegraded finishes the degraded epoch from a restore halt whose
-// healed worker evaporated before the replan could run.
-func (co *coordinator) resumeDegraded(lost *rt.DeviceLostError, lostWorker string, degraded *failover.Outcome, halt *rt.RestoreHaltError) (*Result, error) {
-	cfg := co.cfg
-	eng, err := rt.NewEngine(degraded.Degraded, degraded.Plan, cfg.Timer)
-	if err != nil {
-		return nil, err
+// closeConns refuses further admission and closes every tracked
+// connection: a worker must never keep heartbeating a coordinator that
+// is gone.
+func (co *coordinator) closeConns() {
+	co.cmu.Lock()
+	co.dead = true
+	conns := co.conns
+	co.conns = nil
+	co.cmu.Unlock()
+	for w := range conns {
+		w.close()
 	}
-	eng.StartRound = halt.Watermark
-	eng.StageTimer = co.stageTime
-	eng.OnRoundCommit = co.onRoundCommit
-	eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
-	resumed, err := eng.Run()
-	if err != nil {
-		if errors.Is(err, ErrInjectedCoordCrash) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("dist: degraded continuation failed: %w", err)
-	}
-	if jerr := co.finishJournal(); jerr != nil {
-		return nil, jerr
-	}
-	return &Result{
-		Replanned:       true,
-		Lost:            lost,
-		LostWorker:      lostWorker,
-		LostDevice:      degraded.LostDevice,
-		LostDevices:     degraded.LostDevices,
-		DegradedPlan:    degraded.Plan,
-		MovedLayers:     degraded.MovedLayers,
-		Migration:       degraded.Migration,
-		Resumed:         resumed,
-		TotalTokens:     halt.DurableTokens + resumed.TokensOut,
-		TotalLatencySec: lost.AtSec + degraded.Migration.TransferSec + resumed.LatencySec,
-	}, nil
 }
 
 // stageTime is the Engine.StageTimer callback: evaluate one task on the
@@ -1265,6 +1091,11 @@ func (co *coordinator) acceptLoop() {
 // handleConn runs the handshake and then the per-connection read loop.
 func (co *coordinator) handleConn(c net.Conn) {
 	w := newWire(c, co.cfg.CtrlObs)
+	if !co.track(w) {
+		w.close()
+		return
+	}
+	defer co.untrack(w)
 	_ = c.SetReadDeadline(time.Now().Add(co.cfg.Lease)) //llmpq:allow(errdrop): a failed deadline surfaces as the recv error on the next line
 	msg, err := w.recv()
 	_ = c.SetReadDeadline(time.Time{}) //llmpq:allow(errdrop): clearing a deadline on a dying conn can only fail harmlessly
@@ -1287,7 +1118,6 @@ func (co *coordinator) handleConn(c net.Conn) {
 		w.close()
 		return
 	}
-	m.attach(w)
 	co.mu.Lock()
 	payload := co.payload
 	token := m.currentToken()
@@ -1299,9 +1129,13 @@ func (co *coordinator) handleConn(c net.Conn) {
 		Plan:         payload,
 	}
 	if err := w.send(&Message{Type: MsgWelcome, Welcome: welcome}); err != nil {
-		m.detachIf(w)
+		w.close()
 		return
 	}
+	// Attach only once the welcome went out: an attached connection is
+	// open to stage calls, and a request that overtook the welcome would
+	// fail the worker's handshake and cost it a reconnect.
+	m.attach(w)
 	// Journal the mint only after the welcome went out: recovery must
 	// never hold a worker to a token it was never offered.
 	if rec != nil && co.jnl != nil {
@@ -1469,62 +1303,42 @@ func (co *coordinator) admitRejoin(h *Hello, m *member, tokenOK bool) (*member, 
 // journal knows", not the configured worker count.
 func (co *coordinator) maybeJoined() {
 	co.mu.Lock()
-	if co.recovered == nil && len(co.members) < co.cfg.Workers {
-		co.mu.Unlock()
-		return
-	}
-	members := make([]*member, 0, len(co.members))
-	for _, m := range co.members {
-		members = append(members, m)
-	}
+	short := co.recovered == nil && len(co.members) < co.cfg.Workers
 	co.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		ready := m.lost || m.conn != nil
-		m.mu.Unlock()
-		if !ready {
-			return
-		}
+	if short || len(co.membersWhere(absent)) > 0 {
+		return
 	}
 	co.joinOnce.Do(func() { close(co.joined) })
 }
 
-// attachedCount counts not-lost members with a live connection.
-func (co *coordinator) attachedCount() int {
+// membersWhere snapshots the membership and returns, sorted by name, the
+// members keep accepts; keep runs under the member's lock.
+func (co *coordinator) membersWhere(keep func(m *member) bool) []*member {
 	co.mu.Lock()
-	members := make([]*member, 0, len(co.members))
+	all := make([]*member, 0, len(co.members))
 	for _, m := range co.members {
-		members = append(members, m)
+		all = append(all, m)
 	}
 	co.mu.Unlock()
-	n := 0
-	for _, m := range members {
+	out := all[:0]
+	for _, m := range all {
 		m.mu.Lock()
-		if !m.lost && m.conn != nil {
-			n++
-		}
+		ok := keep(m)
 		m.mu.Unlock()
-	}
-	return n
-}
-
-// absentMembers returns not-lost members with no live connection.
-func (co *coordinator) absentMembers() []*member {
-	co.mu.Lock()
-	members := make([]*member, 0, len(co.members))
-	for _, m := range co.members {
-		members = append(members, m)
-	}
-	co.mu.Unlock()
-	var out []*member
-	for _, m := range members {
-		m.mu.Lock()
-		if !m.lost && m.conn == nil {
+		if ok {
 			out = append(out, m)
 		}
-		m.mu.Unlock()
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// absent reports a not-lost member with no live connection; m.mu held.
+func absent(m *member) bool { return !m.lost && m.conn == nil }
+
+// attachedCount counts not-lost members with a live connection.
+func (co *coordinator) attachedCount() int {
+	return len(co.membersWhere(func(m *member) bool { return !m.lost && m.conn != nil }))
 }
 
 // sweeper expires leases: any member silent past the lease is declared
@@ -1547,17 +1361,8 @@ func (co *coordinator) sweeper() {
 			continue
 		}
 		now := time.Now()
-		co.mu.Lock()
-		members := make([]*member, 0, len(co.members))
-		for _, m := range co.members {
-			members = append(members, m)
-		}
-		co.mu.Unlock()
-		for _, m := range members {
-			m.mu.Lock()
-			expired := !m.lost && now.Sub(m.lastHeard) > co.cfg.Lease
-			m.mu.Unlock()
-			if expired && m.markLost() {
+		for _, m := range co.membersWhere(func(m *member) bool { return !m.lost && now.Sub(m.lastHeard) > co.cfg.Lease }) {
+			if m.markLost() {
 				co.ctrlInc("llmpq_dist_lease_expiries_total")
 				co.cfg.Logf("worker %s lease expired (silent > %s)", m.name, co.cfg.Lease)
 			}
@@ -1582,57 +1387,43 @@ func (co *coordinator) assignStages(p *assigner.Plan, members []*member) {
 // not parked in the rejoining dwell (a rejoined worker serves no stage
 // until the restore replan promotes it).
 func (co *coordinator) liveMembers() []*member {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	var out []*member
-	for _, m := range co.members {
-		m.mu.Lock()
-		skip := m.lost || m.rejoining
-		m.mu.Unlock()
-		if !skip {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return co.membersWhere(func(m *member) bool { return !m.lost && !m.rejoining })
 }
 
 // healedMembers returns rejoined members whose lease has held for the
-// heal dwell, sorted by name.
+// heal dwell — attached, not re-lost, dwell elapsed — sorted by name.
 func (co *coordinator) healedMembers() []*member {
-	co.mu.Lock()
-	members := make([]*member, 0, len(co.members))
-	for _, m := range co.members {
-		members = append(members, m)
-	}
-	co.mu.Unlock()
-	var out []*member
-	for _, m := range members {
-		if m.healReady(co.cfg.HealDwell) {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return co.membersWhere(func(m *member) bool {
+		return m.rejoining && !m.lost && m.conn != nil && time.Since(m.rejoinedAt) >= co.cfg.HealDwell
+	})
 }
 
-func (co *coordinator) memberCount() int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return len(co.members)
-}
-
-// shutdown says goodbye to every live worker and stops the loops.
+// shutdown says goodbye to every live worker, gives them up to a lease
+// to hang up, and stops the loops; Serve then closes whatever is left.
+// Closing first would race a worker's in-flight heartbeat: the reset
+// connection fails before the worker reads its Bye, and it redials a
+// coordinator that is gone.
 func (co *coordinator) shutdown(reason string) {
+	defer co.cancel()
+	var told []*wire
 	for _, m := range co.liveMembers() {
 		m.mu.Lock()
 		w := m.conn
 		m.mu.Unlock()
-		if w != nil {
-			_ = w.send(&Message{Type: MsgBye, Bye: &Bye{Reason: reason}}) //llmpq:allow(errdrop): best-effort farewell during shutdown; unreachable workers time out on their own
+		// A failed farewell needs no wait: that worker is already gone.
+		if w != nil && w.send(&Message{Type: MsgBye, Bye: &Bye{Reason: reason}}) == nil {
+			told = append(told, w)
 		}
 	}
-	co.cancel()
+	grace := time.NewTimer(co.cfg.Lease)
+	defer grace.Stop()
+	for _, w := range told {
+		select {
+		case <-w.closed():
+		case <-grace.C:
+			return
+		}
+	}
 }
 
 func (co *coordinator) setWorkersGauge(n int) {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/assigner"
 	"repro/internal/core/retry"
+	"repro/internal/failover"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 )
@@ -327,5 +328,52 @@ func TestWorkerRejoinHeal(t *testing.T) {
 	}
 	if bErr2 != nil {
 		t.Errorf("worker-b rejoin exit: %v", bErr2)
+	}
+}
+
+// TestDegradedContinuationTotals covers the epoch loop's loss → restore
+// halt → no healed worker → continue-degraded sequence: the degraded
+// epoch continues from the halt watermark without a new plan epoch, and
+// the end-to-end latency counts the degraded time served before the halt.
+func TestDegradedContinuationTotals(t *testing.T) {
+	s := distSpec(t)
+	p := distPlan(t, s)
+	cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
+	co := &coordinator{
+		cfg:     cfg.withDefaults(),
+		members: make(map[string]*member),
+		payload: NewPlanPayload(s, p),
+		joined:  make(chan struct{}),
+	}
+	lost := &rt.DeviceLostError{Stage: 1, Device: p.Order[1], AtSec: 1.5, Watermark: 2, DurableTokens: 16, PrefillDone: true}
+	out, err := failover.Replan(s, p, nil, lost, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{}
+	res.Apply(out)
+	halt := &rt.RestoreHaltError{AtSec: 2, Watermark: 5, DurableTokens: 40, PrefillDone: true}
+	cur, err := co.grow(res, out, halt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur != out || co.epoch != 0 {
+		t.Fatalf("no healed worker must continue the degraded epoch (epoch %d)", co.epoch)
+	}
+	if co.startRound != halt.Watermark || co.baseDurable != halt.DurableTokens {
+		t.Errorf("continuation resumes at %d/%d, want the halt watermark %d/%d",
+			co.startRound, co.baseDurable, halt.Watermark, halt.DurableTokens)
+	}
+	cont := rt.Stats{LatencySec: 3, TokensOut: 24}
+	res.Finish(cont, co.baseDurable)
+	if want := lost.AtSec + out.Migration.TransferSec + halt.AtSec + cont.LatencySec; res.TotalLatencySec != want {
+		t.Errorf("total latency %.6f, want %.6f (loss + migration + degraded time to the halt + continuation)",
+			res.TotalLatencySec, want)
+	}
+	if res.TotalTokens != halt.DurableTokens+cont.TokensOut {
+		t.Errorf("total tokens %d, want %d", res.TotalTokens, halt.DurableTokens+cont.TokensOut)
+	}
+	if res.Restored || !reflect.DeepEqual(res.Resumed, cont) {
+		t.Errorf("continuation must report as the resumed degraded run: restored=%v resumed=%+v", res.Restored, res.Resumed)
 	}
 }

@@ -26,7 +26,7 @@ const (
 	RecMember RecordType = "member"
 	// RecRound records a completed-token watermark advance.
 	RecRound RecordType = "round"
-	// RecReplan records a worker loss and the ReplanMulti outcome; the
+	// RecReplan records a worker loss and its shrinking transition; the
 	// next record is the degraded RecPlan.
 	RecReplan RecordType = "replan"
 	// RecRestore records a heal: the lost worker rejoined, held its
@@ -100,9 +100,10 @@ type RoundRecord struct {
 }
 
 // ReplanRecord is one healed worker loss: the DeviceLostError the engine
-// surfaced plus the ReplanMulti outcome. The loss instant is wall-clock
-// dependent (a lease expiry), so it cannot be re-derived after a crash —
-// this record is what makes a post-replan run recoverable.
+// surfaced plus the shrinking failover.Transition outcome. The loss
+// instant is wall-clock dependent (a lease expiry), so it cannot be
+// re-derived after a crash — this record is what makes a post-replan run
+// recoverable.
 type ReplanRecord struct {
 	LostWorker    string                      `json:"lost_worker"`
 	LostStage     int                         `json:"lost_stage"`
@@ -118,9 +119,9 @@ type ReplanRecord struct {
 }
 
 // RestoreRecord is one heal: the restore halt the engine surfaced plus
-// the ReplanRestore outcome. Like the loss, the heal instant is
-// wall-clock dependent (a dwell expiry after a rejoin), so it is
-// journaled write-ahead before any worker acts on the restored plan.
+// the restoring failover.Transition outcome. Like the loss, the heal
+// instant is wall-clock dependent (a dwell expiry after a rejoin), so it
+// is journaled write-ahead before any worker acts on the restored plan.
 type RestoreRecord struct {
 	HealedWorkers   []string                     `json:"healed_workers"`
 	ReturnedDevices []string                     `json:"returned_devices,omitempty"`

@@ -11,7 +11,7 @@
 // scheduling decisions. Liveness is layered on top with worker→
 // coordinator heartbeats and a lease: a worker that stays silent past
 // its lease is declared lost, which surfaces in the engine as a
-// runtime.StageLostError and drives the same failover.Replan →
+// runtime.StageLostError and drives the same failover.Transition →
 // watermark-resume path a chaos permanent crash does.
 package dist
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -627,5 +628,130 @@ func TestRecoveryJoinTimeoutNoWorkers(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "joined within") {
 		t.Fatalf("empty barrier returned %v, want a join-timeout error", err)
+	}
+}
+
+// TestCrashRefusesRedial pins the injected crash's process-death
+// semantics at the window that used to leak a worker: once crash() runs,
+// every admitted connection is severed and a worker redialing by token
+// into the still-unwinding coordinator is refused, so no worker is left
+// heartbeating a dead coordinator while its successor waits for it.
+func TestCrashRefusesRedial(t *testing.T) {
+	s := distSpec(t)
+	p := distPlan(t, s)
+	cfg := Config{Listener: listen(t), Workers: 1, Spec: s, Plan: p}
+	co := &coordinator{
+		cfg:     cfg.withDefaults(),
+		members: make(map[string]*member),
+		payload: NewPlanPayload(s, p),
+		joined:  make(chan struct{}),
+		pending: make(map[uint64]chan *Message),
+	}
+	co.ctx, co.cancel = context.WithCancel(context.Background())
+	defer co.cancel()
+
+	// The worker joins and receives its rejoin token.
+	coordSide, workerSide := net.Pipe()
+	go co.handleConn(coordSide)
+	w := newWire(workerSide, nil)
+	if err := w.send(&Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "w"}}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := w.recv()
+	if err != nil || msg.Type != MsgWelcome {
+		t.Fatalf("join: %v %+v", err, msg)
+	}
+	token := msg.Welcome.Token
+
+	co.crash()
+	if _, err := w.recv(); err == nil {
+		t.Fatal("the admitted connection survived the crash")
+	}
+
+	// The severed worker redials by token before the coordinator's loops
+	// have stopped: it must be refused, not welcomed.
+	coordSide2, workerSide2 := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		co.handleConn(coordSide2)
+		close(done)
+	}()
+	w2 := newWire(workerSide2, nil)
+	// A refused redial may fail at the send or at the recv below.
+	_ = w2.send(&Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "w", Token: token}})
+	if msg, err := w2.recv(); err == nil {
+		t.Fatalf("a redial into the crashed coordinator was answered: %+v", msg)
+	}
+	<-done
+	m := co.members["w"]
+	m.mu.Lock()
+	conn := m.conn
+	m.mu.Unlock()
+	if conn != nil {
+		select {
+		case <-conn.closed():
+		default:
+			t.Error("the crashed coordinator holds a live connection for the worker")
+		}
+	}
+}
+
+// gateConn holds the first Write on the connection until released and
+// signals when it starts.
+type gateConn struct {
+	net.Conn
+	once    sync.Once
+	writing chan struct{}
+	release chan struct{}
+}
+
+func (g *gateConn) Write(b []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.writing)
+		<-g.release
+	})
+	return g.Conn.Write(b)
+}
+
+// TestWelcomePrecedesAttach: a connection is attached — open to stage
+// calls — only after its welcome went out. Attached first, a recovered
+// coordinator whose barrier closed on the other worker sent the
+// handshaking worker a stage call ahead of its welcome; the worker
+// failed its handshake and reattached a second time.
+func TestWelcomePrecedesAttach(t *testing.T) {
+	s := distSpec(t)
+	p := distPlan(t, s)
+	cfg := Config{Workers: 2, Spec: s, Plan: p}
+	co := &coordinator{
+		cfg:     cfg.withDefaults(),
+		members: make(map[string]*member),
+		payload: NewPlanPayload(s, p),
+		joined:  make(chan struct{}),
+		pending: make(map[uint64]chan *Message),
+	}
+	co.ctx, co.cancel = context.WithCancel(context.Background())
+	defer co.cancel()
+
+	coordSide, workerSide := net.Pipe()
+	defer workerSide.Close() //llmpq:allow(errdrop): test cleanup
+	gate := &gateConn{Conn: coordSide, writing: make(chan struct{}), release: make(chan struct{})}
+	go co.handleConn(gate)
+	w := newWire(workerSide, nil)
+	if err := w.send(&Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "w"}}); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.writing // the coordinator is writing the welcome
+	co.mu.Lock()
+	m := co.members["w"]
+	co.mu.Unlock()
+	m.mu.Lock()
+	attached := m.conn != nil
+	m.mu.Unlock()
+	close(gate.release)
+	if attached {
+		t.Error("the connection was attached before its welcome went out")
+	}
+	if msg, err := w.recv(); err != nil || msg.Type != MsgWelcome {
+		t.Fatalf("first frame %+v (%v), want the welcome", msg, err)
 	}
 }

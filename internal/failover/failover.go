@@ -25,6 +25,7 @@ package failover
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/assigner"
@@ -78,8 +79,11 @@ type Report struct {
 	// Lost is the device-loss event that triggered the replan (nil when
 	// !Replanned).
 	Lost *rt.DeviceLostError
-	// LostDevice names the physical device that died.
+	// LostDevice names the physical device that died (the first of
+	// LostDevices).
 	LostDevice string
+	// LostDevices names every physical device the replan dropped.
+	LostDevices []string
 	// DegradedPlan is the plan Optimize produced on the reduced cluster.
 	DegradedPlan *assigner.Plan
 	// MovedLayers counts layers shipped to a different physical device.
@@ -89,22 +93,25 @@ type Report struct {
 	// Resumed is the watermark-resumed run on the degraded plan.
 	Resumed rt.Stats
 	// TotalTokens is the end-to-end generated-token count: durable tokens
-	// at the loss plus the resumed run's output. Equals the no-fault
-	// run's TokensOut — nothing is lost, nothing is double-counted.
+	// at the last transition plus the finishing run's output. Equals the
+	// no-fault run's TokensOut — nothing is lost, nothing is
+	// double-counted.
 	TotalTokens int
-	// TotalLatencySec = loss time + migration transfer + resumed latency
-	// (plus, when Restored, the restore halt, migration-back, and final
-	// run).
+	// TotalLatencySec sums the epochs: each halted run's halt instant and
+	// the migration window after it, then the finishing run's latency.
 	TotalLatencySec float64
 
 	// Restored is true when the lost device healed and a
 	// capacity-restoring replan brought it back mid-run.
 	Restored bool
 	// RestoreHalt is the voluntary halt that triggered the restore (nil
-	// when !Restored).
+	// when none fired). It is set without Restored when the halt found
+	// nothing to restore and the run continued degraded.
 	RestoreHalt *rt.RestoreHaltError
 	// RestoredPlan is the plan solved on the re-expanded cluster.
 	RestoredPlan *assigner.Plan
+	// RestoredDevices names the physical devices replanned back in.
+	RestoredDevices []string
 	// RestoreMovedLayers counts layers migrated back onto returned
 	// devices; RestoreMigration itemizes the cost.
 	RestoreMovedLayers int
@@ -116,6 +123,55 @@ type Report struct {
 	// controller's tolerance and was deliberately NOT replanned back in;
 	// the run finished degraded.
 	Quarantined bool
+}
+
+// Apply records one transition in the report: a shrink fills the loss
+// half, a restore the heal half.
+func (r *Report) Apply(out *Outcome) {
+	if out.Halt != nil {
+		r.Restored = true
+		r.RestoreHalt = out.Halt
+		r.RestoredPlan = out.Plan
+		r.RestoredDevices = out.RestoredDevices
+		r.RestoreMovedLayers = out.MovedLayers
+		r.RestoreMigration = out.Migration
+		return
+	}
+	r.Replanned = true
+	r.Lost = out.Lost
+	r.LostDevice = out.LostDevice
+	r.LostDevices = out.LostDevices
+	r.DegradedPlan = out.Plan
+	r.MovedLayers = out.MovedLayers
+	r.Migration = out.Migration
+}
+
+// Finish records the run that completed the job: First, Resumed or Final
+// by the transitions before it, with durable the tokens credited before
+// it started. The totals are a sum over epochs — every halted run
+// contributes its halt instant and the migration window after it, the
+// finishing run its own latency — added in epoch order, so the float sum
+// is reproducible.
+func (r *Report) Finish(run rt.Stats, durable int) {
+	switch {
+	case r.Restored:
+		r.Final = run
+	case r.Replanned:
+		r.Resumed = run
+	default:
+		r.First = run
+	}
+	var sec float64
+	if r.Lost != nil {
+		sec += r.Lost.AtSec
+		sec += r.Migration.TransferSec
+	}
+	if r.RestoreHalt != nil {
+		sec += r.RestoreHalt.AtSec
+		sec += r.RestoreMigration.TransferSec
+	}
+	r.TotalTokens = durable + run.TokensOut
+	r.TotalLatencySec = sec + run.LatencySec
 }
 
 // ReplanFailedError reports that a device loss could not be healed — the
@@ -140,96 +196,140 @@ func (e *ReplanFailedError) Error() string {
 // errors.Is/As chains.
 func (e *ReplanFailedError) Unwrap() []error { return []error{e.Err, e.Lost} }
 
-// Outcome is one computed replan: the degraded spec and plan, the
-// migration bill, and where to resume — everything a caller needs to
-// restart execution, without the execution itself. Controller.Run
-// resumes on the in-process engine; internal/dist's coordinator
-// reconfigures its surviving workers instead.
+// Outcome is one computed transition: the spec and plan for the new
+// membership, the migration bill, and where to resume — everything a
+// caller needs to restart execution, without the execution itself.
+// Controller.Run resumes on the in-process engine; internal/dist's
+// coordinator reconfigures its workers instead.
 type Outcome struct {
-	// Degraded is a copy of the original spec on the reduced cluster.
+	// Lost is the loss that triggered a shrink, Halt the voluntary halt
+	// that triggered a restore. Exactly one is set: it is the
+	// transition's direction.
+	Lost *rt.DeviceLostError
+	Halt *rt.RestoreHaltError
+	// Degraded is a copy of the original spec on the new membership: the
+	// reduced cluster after a shrink, the re-expanded one after a
+	// restore.
 	Degraded *assigner.Spec
-	// Plan is the plan Optimize produced on the reduced cluster.
+	// Plan is the plan Optimize produced on that cluster.
 	Plan *assigner.Plan
-	// OldID maps the reduced cluster's device IDs back to original IDs.
+	// OldID maps the new cluster's device IDs back to original IDs.
 	OldID []int
 	// LostDevice names the physical device that died (the first of
 	// LostDevices — kept for single-loss callers and reports).
 	LostDevice string
-	// LostDevices names every physical device declared lost in this
-	// replan. A single chaos crash lists one; a dist worker that served
-	// several stages takes all of its devices down at once.
+	// LostDevices names every physical device a shrink dropped. A single
+	// chaos crash lists one; a dist worker that served several stages
+	// takes all of its devices down at once.
 	LostDevices []string
+	// RestoredDevices names the physical devices a restore brought back.
+	RestoredDevices []string
 	// MovedLayers counts layers whose physical home changed.
 	MovedLayers int
 	// Migration itemizes the re-shipping cost.
 	Migration costmodel.MigrationBreakdown
 	// StartRound is the watermark round the resumed run starts from (0
-	// when prefill had not completed — re-prefill from scratch).
+	// when prefill had not completed — re-prefill from scratch). Rounds
+	// are absolute, so token conservation holds across any number of
+	// transitions.
 	StartRound int
-	// DurableTokens is the token count that survives the loss (0 before
+	// DurableTokens is the token count that survives the halt (0 before
 	// prefill completes).
 	DurableTokens int
 }
 
-// Replan closes steps 2–3 of the failover loop for one device loss:
-// re-solve on the surviving devices, diff layer homes, and cost the
-// migration. It observes the llmpq_failover_* metric families and the
-// migrate span when reg/spans are non-nil; ctrlReg, when non-nil,
-// additionally receives the wall-clock llmpq_failover_replan_seconds
-// histogram (control registry — never byte-diffed). Infeasibility
-// surfaces as a *ReplanFailedError that keeps the DeviceLostError
-// reachable.
-func Replan(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTimer, lost *rt.DeviceLostError, reg, ctrlReg *obs.Registry, spans *obs.SpanRecorder) (*Outcome, error) {
-	return ReplanMulti(spec, plan, timer, lost, nil, reg, ctrlReg, spans)
+// Members lists the device IDs of c minus drop, in ID order: the
+// membership argument of Transition.
+func Members(c hardware.Cluster, drop ...int) []int {
+	var ids []int
+	for _, d := range c.Devices {
+		if !slices.Contains(drop, d.ID) {
+			ids = append(ids, d.ID)
+		}
+	}
+	return ids
 }
 
-// ReplanMulti is Replan for a loss event that takes several devices at
-// once. When one failure domain backs multiple pipeline stages — a dist
-// worker serving several stages, a node hosting several GPUs — every
-// device it backed leaves with it, and healing them one at a time would
-// re-solve and re-ship weights once per device instead of once per
-// failure. extraDevices lists the additional original-cluster device
-// IDs lost alongside lost.Device; duplicates (including a repeated
-// lost.Device) are tolerated.
-func ReplanMulti(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTimer, lost *rt.DeviceLostError, extraDevices []int, reg, ctrlReg *obs.Registry, spans *obs.SpanRecorder) (*Outcome, error) {
-	replanStart := time.Now() //llmpq:allow(simwallclock): replan latency is reported on the control registry only; the degraded plan is independent of it
-	devs := append([]int{lost.Device}, extraDevices...)
-	reduced, oldID, err := removeDevices(spec.Cluster, devs)
+// Replan is Transition for a single device loss off the original plan.
+func Replan(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTimer, lost *rt.DeviceLostError, reg, ctrlReg *obs.Registry, spans *obs.SpanRecorder) (*Outcome, error) {
+	return Transition(spec, plan, timer, nil, Members(spec.Cluster, lost.Device), lost, reg, ctrlReg, spans)
+}
+
+// Transition is the failover loop's one planning step, for losing devices
+// and for getting them back alike: re-solve the workload on members (the
+// original-cluster device IDs serving after the transition), diff layer
+// homes against the epoch serving until the halt, and price migrating
+// weights and resident KV state.
+//
+// spec and plan are the ORIGINAL pre-loss spec and plan; cur is the epoch
+// serving until the halt (nil: plan on the full cluster). halt sets the
+// direction: a *rt.DeviceLostError shrinks, a *rt.RestoreHaltError
+// restores. The solve warm-starts from the nearest known plan — a shrink
+// from the survivors' projection of the serving plan, a full restore from
+// the pre-loss plan (feasible again, so the fleet returns to it or
+// improves on it), a partial restore from Spec.Cache alone; all of it is
+// byte-identity-preserving (DESIGN.md §13).
+//
+// The outcome is exported through Observe; ctrlReg, when non-nil, also
+// receives the wall-clock solve latency (control registry — never
+// byte-diffed). A shrink with no feasible plan surfaces as a
+// *ReplanFailedError that keeps the DeviceLostError reachable.
+func Transition(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTimer, cur *Outcome, members []int, halt error, reg, ctrlReg *obs.Registry, spans *obs.SpanRecorder) (*Outcome, error) {
+	solveStart := time.Now() //llmpq:allow(simwallclock): solve latency is reported on the control registry only; the plan is independent of it
+	out := &Outcome{}
+	switch h := halt.(type) {
+	case *rt.DeviceLostError:
+		out.Lost = h
+	case *rt.RestoreHaltError:
+		out.Halt = h
+	}
+	var watermark, durable int
+	var prefillDone bool
+	switch {
+	case out.Lost != nil:
+		watermark, durable, prefillDone = out.Lost.Watermark, out.Lost.DurableTokens, out.Lost.PrefillDone
+	case out.Halt == nil:
+		return nil, fmt.Errorf("failover: transition without a halt watermark")
+	case cur == nil:
+		return nil, fmt.Errorf("failover: restore without a degraded outcome to restore from")
+	default:
+		watermark, durable, prefillDone = out.Halt.Watermark, out.Halt.DurableTokens, out.Halt.PrefillDone
+	}
+	cluster, oldID, err := subCluster(spec.Cluster, members)
 	if err != nil {
 		return nil, err
 	}
-	degraded := *spec
-	degraded.Cluster = reduced
-	// Warm start: project the surviving assignment onto the reduced
-	// cluster and let Optimize prune combinations that provably cannot
-	// beat it. With Spec.Cache threaded through, the solve also reuses
-	// every timing row and benefit table the loss didn't invalidate.
-	// Both are byte-identity-preserving (DESIGN.md §13).
-	degraded.Incumbent = SurvivorIncumbent(plan, oldID, &degraded)
-	res, err := assigner.Optimize(&degraded, timer)
-	degraded.Incumbent = nil // consumed; keep the outcome's spec self-contained
+	from, fromID := plan, Members(spec.Cluster)
+	if cur != nil {
+		from, fromID = cur.Plan, cur.OldID
+	}
+	if err := out.nameDevices(spec.Cluster, fromID, oldID); err != nil {
+		return nil, err
+	}
+
+	next := *spec
+	next.Cluster = cluster
+	switch {
+	case out.Lost != nil:
+		next.Incumbent = SurvivorIncumbent(from, relativeIDs(oldID, fromID), &next)
+	case len(oldID) == len(spec.Cluster.Devices):
+		next.Incumbent = plan
+	}
+	res, err := assigner.Optimize(&next, timer)
+	next.Incumbent = nil // consumed; keep the outcome's spec self-contained
 	if err != nil {
-		return nil, &ReplanFailedError{Lost: lost, Survivors: reduced.NumDevices(), Err: err}
-	}
-	out := &Outcome{
-		Degraded:   &degraded,
-		Plan:       res.Plan,
-		OldID:      oldID,
-		LostDevice: spec.Cluster.Devices[lost.Device].GPU.Name,
-	}
-	seen := make(map[int]bool, len(devs))
-	for _, d := range devs {
-		if !seen[d] {
-			seen[d] = true
-			out.LostDevices = append(out.LostDevices, spec.Cluster.Devices[d].GPU.Name)
+		if out.Lost != nil {
+			return nil, &ReplanFailedError{Lost: out.Lost, Survivors: cluster.NumDevices(), Err: err}
 		}
+		return nil, fmt.Errorf("failover: no feasible restored plan on %d devices: %w", cluster.NumDevices(), err)
 	}
+	out.Degraded, out.Plan, out.OldID = &next, res.Plan, oldID
 
 	// Layers whose physical home changed must migrate: quantized weights
 	// at the new plan's precision, plus each resident request's KV state
 	// up to the watermark (none when prefill had not completed — the
 	// resumed run re-prefills from scratch).
-	oldHome := layerHomes(plan, spec.Cfg.Layers, nil)
+	oldHome := layerHomes(from, spec.Cfg.Layers, fromID)
 	newHome := layerHomes(res.Plan, spec.Cfg.Layers, oldID)
 	newBits := res.Plan.LayerBits(spec.Cfg.Layers)
 	var movedBits []int
@@ -240,10 +340,10 @@ func ReplanMulti(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerT
 	}
 	out.MovedLayers = len(movedBits)
 	kvSeq := 0
-	if lost.PrefillDone {
-		kvSeq = spec.Work.Prompt + lost.Watermark
-		out.StartRound = lost.Watermark
-		out.DurableTokens = lost.DurableTokens
+	if prefillDone {
+		kvSeq = spec.Work.Prompt + watermark
+		out.StartRound = watermark
+		out.DurableTokens = durable
 	}
 	out.Migration, err = costmodel.MigrationCost(costmodel.MigrationInput{
 		Cfg: spec.Cfg, MovedLayerBits: movedBits, GlobalBatch: spec.Work.GlobalBatch,
@@ -252,13 +352,13 @@ func ReplanMulti(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerT
 	if err != nil {
 		return nil, err
 	}
-	observeReplan(reg, spans, lost, out)
+	Observe(reg, spans, out)
 	// Flush the cache's deterministic hit/miss counters alongside the
-	// replan they served (no-op when spec.Cache or reg is nil).
+	// transition they served (no-op when spec.Cache or reg is nil).
 	spec.Cache.Export(reg)
 	if ctrlReg != nil {
 		//llmpq:allow(simwallclock): wall-clock observation on the control registry only
-		ctrlReg.Histogram(metricReplanSeconds, obs.TimeBuckets()).Observe(time.Since(replanStart).Seconds())
+		ctrlReg.Histogram(out.direction().solveSeconds, obs.TimeBuckets()).Observe(time.Since(solveStart).Seconds())
 	}
 	return out, nil
 }
@@ -323,203 +423,112 @@ func SurvivorIncumbent(plan *assigner.Plan, oldID []int, degraded *assigner.Spec
 	return inc
 }
 
-// RestoreOutcome is one computed capacity-restoring replan: the
-// re-expanded spec and plan, the migrate-back bill, and where to resume.
-// The restore mirror of Outcome.
-type RestoreOutcome struct {
-	// Restored is a copy of the original spec on the re-expanded cluster
-	// (the full original cluster when every lost device returned).
-	Restored *assigner.Spec
-	// Plan is the plan Optimize produced on the re-expanded cluster.
-	Plan *assigner.Plan
-	// OldID maps the re-expanded cluster's device IDs back to original
-	// IDs (identity for a full restore).
-	OldID []int
-	// RestoredDevices names the physical devices replanned back in.
-	RestoredDevices []string
-	// MovedLayers counts layers whose physical home changed moving off
-	// the degraded plan; Migration itemizes the re-shipping cost.
-	MovedLayers int
-	Migration   costmodel.MigrationBreakdown
-	// StartRound / DurableTokens carry the restore halt's watermark into
-	// the resumed run (absolute rounds — token conservation holds across
-	// any number of hops).
-	StartRound    int
-	DurableTokens int
+// nameDevices fills LostDevice/LostDevices (a shrink: the lost device
+// first, then every other member that left, in ID order) or
+// RestoredDevices (a restore: every member that returned) from the
+// membership before (fromID) and after (oldID) the transition.
+func (o *Outcome) nameDevices(c hardware.Cluster, fromID, oldID []int) error {
+	if o.Lost == nil {
+		for _, id := range oldID {
+			if !slices.Contains(fromID, id) {
+				o.RestoredDevices = append(o.RestoredDevices, c.Devices[id].GPU.Name)
+			}
+		}
+		return nil
+	}
+	d := o.Lost.Device
+	if d < 0 || d >= len(c.Devices) || slices.Contains(oldID, d) {
+		return fmt.Errorf("failover: lost device %d is not leaving a %d-device cluster", d, len(c.Devices))
+	}
+	o.LostDevice = c.Devices[d].GPU.Name
+	o.LostDevices = []string{o.LostDevice}
+	for _, id := range fromID {
+		if id != d && !slices.Contains(oldID, id) {
+			o.LostDevices = append(o.LostDevices, c.Devices[id].GPU.Name)
+		}
+	}
+	return nil
 }
 
-// ReplanRestore closes the heal half of the failover loop: devices lost
-// to the shrink replan have returned, so re-solve on the re-expanded
-// cluster and price migrating layers and resident KV state back onto
-// them. spec/plan are the ORIGINAL pre-loss spec and plan; degraded is
-// the shrink outcome currently serving; halt carries the watermark the
-// restored run resumes from; stillLost lists original-cluster device IDs
-// that have NOT returned (empty = full restore). A full restore
-// warm-starts with the original plan as incumbent — exactly feasible on
-// the original cluster — so the fleet replans back to (or strictly
-// toward) the pre-loss plan; partial restores rely on the solve cache
-// alone. Infeasibility (impossible on a superset of a cluster that
-// already served) surfaces as an error; callers typically keep the
-// degraded plan in that case.
-func ReplanRestore(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTimer, degraded *Outcome, halt *rt.RestoreHaltError, stillLost []int, reg, ctrlReg *obs.Registry, spans *obs.SpanRecorder) (*RestoreOutcome, error) {
-	restoreStart := time.Now() //llmpq:allow(simwallclock): restore latency is reported on the control registry only; the restored plan is independent of it
-	if degraded == nil || degraded.Plan == nil {
-		return nil, fmt.Errorf("failover: restore without a degraded outcome to restore from")
+// relativeIDs re-expresses oldID (new index → original ID) against the
+// membership fromID (index → original ID) the serving plan indexes: new
+// index → index in the serving cluster, or -1 for a device it lacks.
+func relativeIDs(oldID, fromID []int) []int {
+	rel := make([]int, len(oldID))
+	for i, id := range oldID {
+		rel[i] = slices.Index(fromID, id)
 	}
-	if halt == nil {
-		return nil, fmt.Errorf("failover: restore without a halt watermark")
+	return rel
+}
+
+// direction names the metric families and the span one transition
+// direction exports.
+type direction struct {
+	total, devices, moved, bytes, secs, resume string
+	// returns counts one increment per returned device ("" for a shrink).
+	returns string
+	// solveSeconds is the wall-clock solve histogram (ctrl registry).
+	solveSeconds string
+	span         string
+}
+
+var (
+	shrinkFamilies = direction{
+		metricReplans, metricLostDevices, metricMovedLayers, metricMigrationBytes,
+		metricMigrationSecs, metricResumeRound, "", metricReplanSeconds, "migrate",
 	}
-	cluster := spec.Cluster
-	var oldID []int
-	if len(stillLost) > 0 {
-		var err error
-		cluster, oldID, err = removeDevices(spec.Cluster, stillLost)
-		if err != nil {
-			return nil, err
-		}
+	restoreFamilies = direction{
+		metricRestores, metricRestoredDevices, metricRestoreMovedLayers, metricRestoreMigrationB,
+		metricRestoreMigrationSec, metricRestoreResumeRound, metricHealReturns, metricRestoreSeconds, "migrate-back",
+	}
+)
+
+func (o *Outcome) direction() direction {
+	if o.Halt != nil {
+		return restoreFamilies
+	}
+	return shrinkFamilies
+}
+
+// Observe exports one transition, keyed by its direction: a shrink
+// exports the llmpq_failover_* families and a migrate span on the lost
+// stage's thread; a restore exports the llmpq_failover_restore_*
+// families, one llmpq_heal_device_returns_total increment per returned
+// device, and a migrate-back span on thread 0. Transition calls it for a
+// fresh transition; a coordinator recovering from its journal calls it
+// for the transitions it resumes from, which it did not compute this
+// run, so its sim registry still reports them.
+func Observe(reg *obs.Registry, spans *obs.SpanRecorder, out *Outcome) {
+	d := out.direction()
+	devices, at, tid := out.LostDevices, 0.0, 0
+	if out.Halt != nil {
+		devices, at = out.RestoredDevices, out.Halt.AtSec
 	} else {
-		oldID = make([]int, len(spec.Cluster.Devices))
-		for i := range oldID {
-			oldID[i] = i
-		}
+		at, tid = out.Lost.AtSec, out.Lost.Stage
 	}
-	restored := *spec
-	restored.Cluster = cluster
-	if len(stillLost) == 0 {
-		// Full restore: the pre-loss plan is exactly feasible again, so it
-		// both warm-prunes the solve and guarantees the outcome is at
-		// least as good as what the fleet ran before the loss.
-		restored.Incumbent = plan
-	}
-	res, err := assigner.Optimize(&restored, timer)
-	restored.Incumbent = nil
-	if err != nil {
-		return nil, fmt.Errorf("failover: no feasible restored plan on %d devices: %w", cluster.NumDevices(), err)
-	}
-	out := &RestoreOutcome{Restored: &restored, Plan: res.Plan, OldID: oldID}
-
-	// Devices present now but absent from the degraded cluster are the
-	// ones that returned.
-	had := make(map[int]bool, len(degraded.OldID))
-	for _, id := range degraded.OldID {
-		had[id] = true
-	}
-	for _, id := range oldID {
-		if !had[id] {
-			out.RestoredDevices = append(out.RestoredDevices, spec.Cluster.Devices[id].GPU.Name)
-		}
-	}
-
-	// Migrate-back bill: diff physical layer homes degraded → restored
-	// (both in original-cluster IDs), shipping quantized weights at the
-	// restored plan's precision plus resident KV up to the watermark.
-	oldHome := layerHomes(degraded.Plan, spec.Cfg.Layers, degraded.OldID)
-	newHome := layerHomes(res.Plan, spec.Cfg.Layers, oldID)
-	newBits := res.Plan.LayerBits(spec.Cfg.Layers)
-	var movedBits []int
-	for l := 0; l < spec.Cfg.Layers; l++ {
-		if newHome[l] != oldHome[l] {
-			movedBits = append(movedBits, newBits[l])
-		}
-	}
-	out.MovedLayers = len(movedBits)
-	kvSeq := 0
-	if halt.PrefillDone {
-		kvSeq = spec.Work.Prompt + halt.Watermark
-		out.StartRound = halt.Watermark
-		out.DurableTokens = halt.DurableTokens
-	}
-	out.Migration, err = costmodel.MigrationCost(costmodel.MigrationInput{
-		Cfg: spec.Cfg, MovedLayerBits: movedBits, GlobalBatch: spec.Work.GlobalBatch,
-		KVSeqLen: kvSeq, KVBits: spec.KVBits, Link: spec.Cluster.InterNode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	observeRestore(reg, spans, halt, out)
-	spec.Cache.Export(reg)
-	if ctrlReg != nil {
-		//llmpq:allow(simwallclock): wall-clock observation on the control registry only
-		ctrlReg.Histogram(metricRestoreSeconds, obs.TimeBuckets()).Observe(time.Since(restoreStart).Seconds())
-	}
-	return out, nil
-}
-
-// observeReplan exports the llmpq_failover_* metrics and the migration
-// span for one computed replan.
-func observeReplan(reg *obs.Registry, spans *obs.SpanRecorder, lost *rt.DeviceLostError, out *Outcome) {
 	if reg != nil {
-		reg.Counter(metricReplans).Inc()
-		reg.Gauge(metricLostDevices).Set(float64(len(out.LostDevices)))
-		reg.Gauge(metricMovedLayers).Set(float64(out.MovedLayers))
-		reg.Gauge(metricMigrationBytes).Set(out.Migration.TotalBytes)
-		reg.Gauge(metricMigrationSecs).Set(out.Migration.TransferSec)
-		reg.Gauge(metricResumeRound).Set(float64(out.StartRound))
+		reg.Counter(d.total).Inc()
+		reg.Gauge(d.devices).Set(float64(len(devices)))
+		reg.Gauge(d.moved).Set(float64(out.MovedLayers))
+		reg.Gauge(d.bytes).Set(out.Migration.TotalBytes)
+		reg.Gauge(d.secs).Set(out.Migration.TransferSec)
+		reg.Gauge(d.resume).Set(float64(out.StartRound))
+		if d.returns != "" {
+			for range devices {
+				reg.Counter(d.returns).Inc()
+			}
+		}
 	}
 	if spans != nil {
 		spans.Record(obs.Span{
-			Name: "migrate", Cat: "failover", TID: lost.Stage,
-			Start: lost.AtSec, Dur: out.Migration.TransferSec,
+			Name: d.span, Cat: "failover", TID: tid,
+			Start: at, Dur: out.Migration.TransferSec,
 			Args: map[string]string{
 				"moved_layers": fmt.Sprintf("%d", out.MovedLayers),
 				"bytes":        fmt.Sprintf("%.0f", out.Migration.TotalBytes),
 			},
 		})
 	}
-}
-
-// ObserveReplayed re-exports the llmpq_failover_* families and the
-// migration span for a replan that already happened — a coordinator
-// recovering from its journal resumes a degraded plan it did not compute
-// this run, and the sim registry must still report the replan it resumed
-// from.
-func ObserveReplayed(reg *obs.Registry, spans *obs.SpanRecorder, lost *rt.DeviceLostError,
-	lostDevices []string, movedLayers int, migration costmodel.MigrationBreakdown, startRound int) {
-	observeReplan(reg, spans, lost, &Outcome{
-		LostDevices: lostDevices,
-		MovedLayers: movedLayers,
-		Migration:   migration,
-		StartRound:  startRound,
-	})
-}
-
-// observeRestore exports the llmpq_failover_restore_* and llmpq_heal_*
-// metrics and the migrate-back span for one computed restore.
-func observeRestore(reg *obs.Registry, spans *obs.SpanRecorder, halt *rt.RestoreHaltError, out *RestoreOutcome) {
-	if reg != nil {
-		reg.Counter(metricRestores).Inc()
-		reg.Gauge(metricRestoredDevices).Set(float64(len(out.RestoredDevices)))
-		reg.Gauge(metricRestoreMovedLayers).Set(float64(out.MovedLayers))
-		reg.Gauge(metricRestoreMigrationB).Set(out.Migration.TotalBytes)
-		reg.Gauge(metricRestoreMigrationSec).Set(out.Migration.TransferSec)
-		reg.Gauge(metricRestoreResumeRound).Set(float64(out.StartRound))
-		for range out.RestoredDevices {
-			reg.Counter(metricHealReturns).Inc()
-		}
-	}
-	if spans != nil {
-		spans.Record(obs.Span{
-			Name: "migrate-back", Cat: "failover", TID: 0,
-			Start: halt.AtSec, Dur: out.Migration.TransferSec,
-			Args: map[string]string{
-				"moved_layers": fmt.Sprintf("%d", out.MovedLayers),
-				"bytes":        fmt.Sprintf("%.0f", out.Migration.TotalBytes),
-			},
-		})
-	}
-}
-
-// ObserveRestoreReplayed re-exports the restore families and the
-// migrate-back span for a restore that already happened — the
-// journal-recovery mirror of ObserveReplayed.
-func ObserveRestoreReplayed(reg *obs.Registry, spans *obs.SpanRecorder, halt *rt.RestoreHaltError,
-	restoredDevices []string, movedLayers int, migration costmodel.MigrationBreakdown, startRound int) {
-	observeRestore(reg, spans, halt, &RestoreOutcome{
-		RestoredDevices: restoredDevices,
-		MovedLayers:     movedLayers,
-		Migration:       migration,
-		StartRound:      startRound,
-	})
 }
 
 // Controller reacts to permanent device loss by replanning on the
@@ -580,18 +589,20 @@ func healFault(sched *chaos.Schedule) *chaos.Fault {
 // (Fault.RecoverAfterSec) and the device's flap count stays under
 // FlapTolerance, the degraded run voluntarily halts once the returned
 // device has held a stable lease for HealDwellSec and a
-// capacity-restoring replan (ReplanRestore) finishes the job on the
-// re-expanded cluster; a flappier device is quarantined and the run
-// finishes degraded. Every branch is deterministic: same spec, plan, and
-// schedule reproduce the same report byte-for-byte.
+// capacity-restoring Transition finishes the job on the re-expanded
+// cluster; a flappier device is quarantined and the run finishes
+// degraded. Every branch is deterministic: same spec, plan, and schedule
+// reproduce the same report byte-for-byte.
 func (c *Controller) Run(sched *chaos.Schedule) (Report, error) {
 	eng := &rt.Engine{Spec: c.Spec, Plan: c.Plan, Timer: c.Timer, Chaos: sched, Obs: c.Obs, Spans: c.Spans}
 	stats, err := eng.Run()
-	if err == nil {
-		return Report{First: stats, TotalTokens: stats.TokensOut, TotalLatencySec: stats.LatencySec}, nil
-	}
 	var lost *rt.DeviceLostError
-	if !errors.As(err, &lost) {
+	switch {
+	case err == nil:
+		var rep Report
+		rep.Finish(stats, 0)
+		return rep, nil
+	case !errors.As(err, &lost):
 		return Report{}, err
 	}
 	return c.replan(sched, lost)
@@ -601,15 +612,12 @@ func (c *Controller) Run(sched *chaos.Schedule) (Report, error) {
 // it from the watermark, arming the restore halt when the schedule heals
 // the loss.
 func (c *Controller) replan(sched *chaos.Schedule, lost *rt.DeviceLostError) (Report, error) {
-	rep := Report{Replanned: true, Lost: lost}
-	out, err := Replan(c.Spec, c.Plan, c.Timer, lost, c.Obs, c.CtrlObs, c.Spans)
+	out, err := Transition(c.Spec, c.Plan, c.Timer, nil, Members(c.Spec.Cluster, lost.Device), lost, c.Obs, c.CtrlObs, c.Spans)
 	if err != nil {
 		return Report{}, err
 	}
-	rep.LostDevice = out.LostDevice
-	rep.DegradedPlan = out.Plan
-	rep.MovedLayers = out.MovedLayers
-	rep.Migration = out.Migration
+	var rep Report
+	rep.Apply(out)
 
 	eng := &rt.Engine{Spec: out.Degraded, Plan: out.Plan, Timer: c.Timer, StartRound: out.StartRound, Obs: c.Obs, Spans: c.Spans}
 	if heal := healFault(sched); heal != nil {
@@ -635,7 +643,7 @@ func (c *Controller) replan(sched *chaos.Schedule, lost *rt.DeviceLostError) (Re
 			eng.RestoreAtSec = at
 		}
 	}
-	rep.Resumed, err = eng.Run()
+	resumed, err := eng.Run()
 	if err != nil {
 		var halt *rt.RestoreHaltError
 		if !errors.As(err, &halt) {
@@ -643,8 +651,7 @@ func (c *Controller) replan(sched *chaos.Schedule, lost *rt.DeviceLostError) (Re
 		}
 		return c.restore(rep, out, halt)
 	}
-	rep.TotalTokens = out.DurableTokens + rep.Resumed.TokensOut
-	rep.TotalLatencySec = lost.AtSec + rep.Migration.TransferSec + rep.Resumed.LatencySec
+	rep.Finish(resumed, out.DurableTokens)
 	return rep, nil
 }
 
@@ -652,38 +659,37 @@ func (c *Controller) replan(sched *chaos.Schedule, lost *rt.DeviceLostError) (Re
 // replan: re-solve on the full original cluster, migrate back, and run
 // from the halt watermark to completion.
 func (c *Controller) restore(rep Report, degraded *Outcome, halt *rt.RestoreHaltError) (Report, error) {
-	out, err := ReplanRestore(c.Spec, c.Plan, c.Timer, degraded, halt, nil, c.Obs, c.CtrlObs, c.Spans)
+	out, err := Transition(c.Spec, c.Plan, c.Timer, degraded, Members(c.Spec.Cluster), halt, c.Obs, c.CtrlObs, c.Spans)
 	if err != nil {
 		return Report{}, err
 	}
-	rep.Restored = true
-	rep.RestoreHalt = halt
-	rep.RestoredPlan = out.Plan
-	rep.RestoreMovedLayers = out.MovedLayers
-	rep.RestoreMigration = out.Migration
-
-	eng := &rt.Engine{Spec: out.Restored, Plan: out.Plan, Timer: c.Timer, StartRound: out.StartRound, Obs: c.Obs, Spans: c.Spans}
-	rep.Final, err = eng.Run()
+	rep.Apply(out)
+	eng := &rt.Engine{Spec: out.Degraded, Plan: out.Plan, Timer: c.Timer, StartRound: out.StartRound, Obs: c.Obs, Spans: c.Spans}
+	final, err := eng.Run()
 	if err != nil {
 		return Report{}, fmt.Errorf("failover: restored run failed: %w", err)
 	}
 	// The halt watermark is absolute (resumed runs carry rounds forward),
 	// so DurableTokens already folds in everything generated before and
 	// after the loss.
-	rep.TotalTokens = out.DurableTokens + rep.Final.TokensOut
-	rep.TotalLatencySec = rep.Lost.AtSec + rep.Migration.TransferSec + halt.AtSec + out.Migration.TransferSec + rep.Final.LatencySec
+	rep.Finish(final, out.DurableTokens)
 	return rep, nil
 }
 
-// removeDevice returns a copy of the cluster without the given device,
-// surviving devices reindexed to contiguous IDs (node placement
-// preserved), plus the newID→oldID mapping.
-func removeDevice(c hardware.Cluster, dev int) (hardware.Cluster, []int, error) {
-	return removeDevices(c, []int{dev})
+// subCluster restricts c to members and returns it with the
+// newID→oldID mapping; the full membership keeps c itself.
+func subCluster(c hardware.Cluster, members []int) (hardware.Cluster, []int, error) {
+	drop := slices.DeleteFunc(Members(c), func(id int) bool { return slices.Contains(members, id) })
+	if len(drop) == 0 {
+		return c, Members(c), nil
+	}
+	return removeDevices(c, drop)
 }
 
-// removeDevices is removeDevice for a set of losses (duplicates
-// tolerated). At least one device must survive.
+// removeDevices returns a copy of the cluster without the given devices
+// (duplicates tolerated), survivors reindexed to contiguous IDs (node
+// placement preserved), plus the newID→oldID mapping. At least one device
+// must survive.
 func removeDevices(c hardware.Cluster, devs []int) (hardware.Cluster, []int, error) {
 	drop := make(map[int]bool, len(devs))
 	for _, dev := range devs {

@@ -70,7 +70,7 @@ func TestFailoverTable3PermanentLoss(t *testing.T) {
 	// with the surviving devices (memory constraints are part of the
 	// solve; Validate re-checks structure + stage memory fit).
 	degraded := *spec
-	reduced, _, err := removeDevice(spec.Cluster, rep.Lost.Device)
+	reduced, _, err := removeDevices(spec.Cluster, []int{rep.Lost.Device})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFailoverPrefillIncompleteLoss(t *testing.T) {
 
 func TestRemoveDevice(t *testing.T) {
 	c := hardware.Clusters[3] // 3×T4 + V100
-	out, oldID, err := removeDevice(c, 1)
+	out, oldID, err := removeDevices(c, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestRemoveDevice(t *testing.T) {
 	if !strings.HasSuffix(out.Name, "-degraded") {
 		t.Errorf("degraded cluster name %q", out.Name)
 	}
-	if _, _, err := removeDevice(c, 9); err == nil {
+	if _, _, err := removeDevices(c, []int{9}); err == nil {
 		t.Error("out-of-range device must fail")
 	}
 	single := hardware.Clusters[1]
-	if _, _, err := removeDevice(single, 0); err == nil {
+	if _, _, err := removeDevices(single, []int{0}); err == nil {
 		t.Error("losing the only device must fail")
 	}
 }
@@ -210,10 +210,10 @@ func TestRemoveDevicesMulti(t *testing.T) {
 	}
 }
 
-// TestReplanMultiTwoDevices: one replan heals a loss event spanning two
+// TestTransitionTwoDevices: one replan heals a loss event spanning two
 // devices — the path internal/dist takes when a worker serving several
 // stages dies. The outcome must be deterministic and name both devices.
-func TestReplanMultiTwoDevices(t *testing.T) {
+func TestTransitionTwoDevices(t *testing.T) {
 	spec, plan := table3Spec(t)
 	lost := &rt.DeviceLostError{
 		Stage: 1, Device: 1, AtSec: 1.5,
@@ -221,7 +221,7 @@ func TestReplanMultiTwoDevices(t *testing.T) {
 	}
 	run := func() (*Outcome, *obs.Registry) {
 		reg := obs.NewRegistry()
-		out, err := ReplanMulti(spec, plan, nil, lost, []int{2}, reg, nil, nil)
+		out, err := Transition(spec, plan, nil, nil, Members(spec.Cluster, 1, 2), lost, reg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,11 +166,11 @@ func TestFailoverHealAfterDrain(t *testing.T) {
 	}
 }
 
-// TestReplanRestoreValidation pins the restore preconditions.
-func TestReplanRestoreValidation(t *testing.T) {
+// TestTransitionValidation pins the restore preconditions.
+func TestTransitionValidation(t *testing.T) {
 	spec, plan := table3Spec(t)
 	halt := &rt.RestoreHaltError{AtSec: 1, Watermark: 4, DurableTokens: 32, PrefillDone: true}
-	if _, err := ReplanRestore(spec, plan, nil, nil, halt, nil, nil, nil, nil); err == nil ||
+	if _, err := Transition(spec, plan, nil, nil, Members(spec.Cluster), halt, nil, nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "degraded outcome") {
 		t.Errorf("nil degraded outcome accepted: %v", err)
 	}
@@ -179,36 +179,36 @@ func TestReplanRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplanRestore(spec, plan, nil, out, nil, nil, nil, nil, nil); err == nil ||
+	if _, err := Transition(spec, plan, nil, out, Members(spec.Cluster), nil, nil, nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "halt watermark") {
 		t.Errorf("nil halt accepted: %v", err)
 	}
 }
 
-// TestReplanRestorePartial: when only some lost devices return, the
+// TestTransitionPartialRestore: when only some lost devices return, the
 // restore solves on the partially re-expanded cluster and names exactly
 // the returned devices.
-func TestReplanRestorePartial(t *testing.T) {
+func TestTransitionPartialRestore(t *testing.T) {
 	spec, plan := table3Spec(t)
 	lost := &rt.DeviceLostError{Stage: 1, Device: 1, AtSec: 1, Watermark: 4, DurableTokens: 32, PrefillDone: true}
 	// Lose devices 1 and 2 together; only device 1 comes back.
-	out, err := ReplanMulti(spec, plan, nil, lost, []int{2}, nil, nil, nil)
+	out, err := Transition(spec, plan, nil, nil, Members(spec.Cluster, 1, 2), lost, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	halt := &rt.RestoreHaltError{AtSec: 2, Watermark: 6, DurableTokens: 48, PrefillDone: true}
-	rout, err := ReplanRestore(spec, plan, nil, out, halt, []int{2}, nil, nil, nil)
+	rout, err := Transition(spec, plan, nil, out, Members(spec.Cluster, 2), halt, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := rout.Restored.Cluster.NumDevices(); n != spec.Cluster.NumDevices()-1 {
+	if n := rout.Degraded.Cluster.NumDevices(); n != spec.Cluster.NumDevices()-1 {
 		t.Errorf("partial restore cluster has %d devices, want %d", n, spec.Cluster.NumDevices()-1)
 	}
 	want := []string{spec.Cluster.Devices[1].GPU.Name}
 	if !reflect.DeepEqual(rout.RestoredDevices, want) {
 		t.Errorf("restored devices %v, want %v", rout.RestoredDevices, want)
 	}
-	if err := rout.Plan.Validate(rout.Restored); err != nil {
+	if err := rout.Plan.Validate(rout.Degraded); err != nil {
 		t.Errorf("partial-restore plan invalid: %v", err)
 	}
 	if rout.StartRound != halt.Watermark || rout.DurableTokens != halt.DurableTokens {
@@ -216,13 +216,15 @@ func TestReplanRestorePartial(t *testing.T) {
 	}
 }
 
-// TestObserveRestoreReplayed: journal recovery re-exports the restore
-// families without recomputing the solve.
-func TestObserveRestoreReplayed(t *testing.T) {
+// TestObserveRestore: journal recovery re-exports the restore families
+// without recomputing the solve.
+func TestObserveRestore(t *testing.T) {
 	reg := obs.NewRegistry()
 	halt := &rt.RestoreHaltError{AtSec: 3, Watermark: 5, DurableTokens: 40, PrefillDone: true}
-	ObserveRestoreReplayed(reg, nil, halt, []string{"T4", "V100"}, 7,
-		costmodel.MigrationBreakdown{TotalBytes: 1024, TransferSec: 0.5}, 5)
+	Observe(reg, nil, &Outcome{
+		Halt: halt, RestoredDevices: []string{"T4", "V100"}, MovedLayers: 7,
+		Migration: costmodel.MigrationBreakdown{TotalBytes: 1024, TransferSec: 0.5}, StartRound: 5,
+	})
 	if got := reg.Counter("llmpq_failover_restore_total").Value(); got != 1 {
 		t.Errorf("restore counter %.0f, want 1", got)
 	}

@@ -114,7 +114,7 @@ func TestReplanWarmMatchesCold(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ctrl := obs.NewRegistry()
-	warmOut, err := ReplanMulti(warm, warmRes.Plan, assigner.ProfilerTimer{}, mkLost(warmRes.Plan), nil, reg, ctrl, nil)
+	warmOut, err := Replan(warm, warmRes.Plan, assigner.ProfilerTimer{}, mkLost(warmRes.Plan), reg, ctrl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

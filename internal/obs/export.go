@@ -105,7 +105,7 @@ func labelText(ls []Label, le string) string {
 }
 
 func fnum(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64) //llmpq:ignore bitwidthset — strconv float bit size, not a quantization width
+	return strconv.FormatFloat(v, 'g', -1, 64) //llmpq:allow(bitwidthset): strconv float bit size, not a quantization width
 }
 
 // chromeEvent is one trace_event entry; ts/dur are microseconds, per the

@@ -83,7 +83,7 @@ func FuzzQuantDequantRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := range a {
-			if a[i] != b[i] { //llmpq:ignore floateq bitwise reproducibility is the property under test
+			if a[i] != b[i] {
 				t.Fatalf("deterministic round-trip differs at %d: %g vs %g", i, a[i], b[i])
 			}
 		}
@@ -125,7 +125,7 @@ func FuzzGroupwisePack(f *testing.F) {
 		if len(qt.Scales) != wantGroups || len(qt.Zeros) != wantGroups {
 			t.Fatalf("%v: %d scales / %d zeros for %d groups", scheme, len(qt.Scales), len(qt.Zeros), wantGroups)
 		}
-		if got, want := qt.MetadataBytes(), float64(2*wantGroups*2); got != want { //llmpq:ignore floateq exact FP16 byte count
+		if got, want := qt.MetadataBytes(), float64(2*wantGroups*2); got != want {
 			t.Fatalf("MetadataBytes %g, want %g", got, want)
 		}
 		maxLevel := int32(Levels(bits) - 1)

@@ -251,12 +251,6 @@ func TestChaosEngineValidation(t *testing.T) {
 		return eng
 	}
 	eng := mk()
-	eng.Failure = &FailureInjection{Stage: 0, AtSec: 0.1, RecoverySec: 0.1}
-	eng.Chaos = &chaos.Schedule{}
-	if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "both Chaos and the deprecated Failure") {
-		t.Errorf("both-set error missing, got %v", err)
-	}
-	eng = mk()
 	eng.Chaos = &chaos.Schedule{Faults: []chaos.Fault{{Kind: chaos.KindCrash, Stage: 5, AtSec: 0.1}}}
 	if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "out of [0,") {
 		t.Errorf("stage-range error missing, got %v", err)

@@ -141,42 +141,11 @@ type Stats struct {
 	Trace []TaskSpan
 }
 
-// FailureInjection makes one pipeline stage fail mid-run and come back
-// after RecoverySec (the time to restream its shard through the §5
-// on-the-fly loader — see internal/loader.RecoveryTime). The task running
-// on the failed stage is lost and re-executed after recovery.
-//
-// Deprecated: FailureInjection is the legacy single-fault interface,
-// kept as a shim over the chaos schedule; new code should set
-// Engine.Chaos with a chaos.KindCrash fault instead.
-type FailureInjection struct {
-	Stage       int
-	AtSec       float64
-	RecoverySec float64
-}
-
-// schedule converts the legacy injection into a one-fault chaos schedule.
-func (fi *FailureInjection) schedule() *chaos.Schedule {
-	return &chaos.Schedule{Faults: []chaos.Fault{{
-		Kind: chaos.KindCrash, Stage: fi.Stage, AtSec: fi.AtSec, RecoverySec: fi.RecoverySec,
-	}}}
-}
-
-// Validate checks the injection against a plan, through the chaos
-// schedule's validation (stage range, negative timings).
-func (fi *FailureInjection) Validate(stages int) error {
-	return fi.schedule().Validate(stages)
-}
-
 // Engine simulates plan execution on a cluster.
 type Engine struct {
 	Spec  *assigner.Spec
 	Plan  *assigner.Plan
 	Timer assigner.LayerTimer
-	// Failure, when non-nil, injects a single stage outage.
-	//
-	// Deprecated: use Chaos; setting both is an error.
-	Failure *FailureInjection
 	// Chaos, when non-nil, injects the schedule's faults: concurrent
 	// stage crashes (transient or permanent), compute stragglers, and
 	// slow-link windows. KV-allocation faults are ignored here (they
@@ -245,20 +214,6 @@ func NewEngine(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTim
 	return &Engine{Spec: spec, Plan: plan, Timer: timer}, nil
 }
 
-// schedule resolves the effective chaos schedule (nil = fault-free).
-func (e *Engine) schedule() (*chaos.Schedule, error) {
-	if e.Chaos != nil && e.Failure != nil {
-		return nil, fmt.Errorf("runtime: both Chaos and the deprecated Failure are set; use Chaos")
-	}
-	if e.Chaos != nil {
-		return e.Chaos, nil
-	}
-	if e.Failure != nil {
-		return e.Failure.schedule(), nil
-	}
-	return nil, nil
-}
-
 type task struct {
 	mb      int // micro-batch index
 	batch   int // requests in this micro-batch
@@ -294,10 +249,7 @@ func (e *Engine) Run() (Stats, error) {
 	stageBits := p.StageLayerBits(s.Cfg.Layers)
 	maxSeq := s.Work.Prompt + s.Work.Generate
 
-	sched, err := e.schedule()
-	if err != nil {
-		return Stats{}, err
-	}
+	sched := e.Chaos
 	if err := sched.Validate(n); err != nil {
 		return Stats{}, err
 	}

@@ -3,8 +3,17 @@ package runtime
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/loader"
 )
+
+// crashSchedule is a one-fault chaos schedule: stage fails at atSec and
+// comes back after recoverySec.
+func crashSchedule(stage int, atSec, recoverySec float64) *chaos.Schedule {
+	return &chaos.Schedule{Faults: []chaos.Fault{{
+		Kind: chaos.KindCrash, Stage: stage, AtSec: atSec, RecoverySec: recoverySec,
+	}}}
+}
 
 func TestFailureRecoveryCompletesAllWork(t *testing.T) {
 	s := rtSpec(2.2, 1.4)
@@ -23,7 +32,7 @@ func TestFailureRecoveryCompletesAllWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Failure = &FailureInjection{Stage: 1, AtSec: clean.LatencySec / 3, RecoverySec: 2.0}
+	eng.Chaos = crashSchedule(1, clean.LatencySec/3, 2.0)
 	st, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +59,7 @@ func TestFailureDeterministic(t *testing.T) {
 	p := planFor(t, s)
 	run := func() Stats {
 		eng, _ := NewEngine(s, p, nil)
-		eng.Failure = &FailureInjection{Stage: 0, AtSec: 0.5, RecoverySec: 1.0}
+		eng.Chaos = crashSchedule(0, 0.5, 1.0)
 		st, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -67,11 +76,11 @@ func TestFailureValidation(t *testing.T) {
 	s := rtSpec(2.2, 1.4)
 	p := planFor(t, s)
 	eng, _ := NewEngine(s, p, nil)
-	eng.Failure = &FailureInjection{Stage: 9, AtSec: 1, RecoverySec: 1}
+	eng.Chaos = crashSchedule(9, 1, 1)
 	if _, err := eng.Run(); err == nil {
 		t.Error("expected stage-range error")
 	}
-	eng.Failure = &FailureInjection{Stage: 0, AtSec: -1, RecoverySec: 1}
+	eng.Chaos = crashSchedule(0, -1, 1)
 	if _, err := eng.Run(); err == nil {
 		t.Error("expected timing error")
 	}
@@ -101,7 +110,7 @@ func TestRecoveryTimeFromLoaderIsRealistic(t *testing.T) {
 		t.Fatalf("chunked recovery %.2fs should beat monolithic %.2fs", chunked, mono.LoadTime)
 	}
 	eng, _ := NewEngine(s, p, nil)
-	eng.Failure = &FailureInjection{Stage: 1, AtSec: 0.5, RecoverySec: chunked}
+	eng.Chaos = crashSchedule(1, 0.5, chunked)
 	st, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
