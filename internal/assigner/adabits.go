@@ -10,7 +10,7 @@ import (
 // dropped, layers are partitioned across devices in proportion to memory
 // capacity, and each stage independently picks the quality-optimal (minimum
 // ω) two-precision mixture that fits its memory. bt is the shared
-// kmax = layerGroups benefit table from benefitsFor.
+// benefit table from benefitsFor.
 func solveAdabits(t *Tables, order []int, bt *benefitTable) (*Plan, error) {
 	s := t.Spec
 	n := len(order)

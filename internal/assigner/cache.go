@@ -311,8 +311,8 @@ func gpuKey(g hardware.GPU) string {
 
 // benefitsKey identifies a benefit table: it depends only on the
 // candidate bits and the (grouped) ω indicator, never on the fleet, so
-// device losses keep hitting it. The table is always built at kmax =
-// layerGroups (see benefitsFor), so the bound is not part of the key.
+// device losses keep hitting it. The table covers every range of the
+// layer groups (see benefitsFor), so no per-stage bound is part of the key.
 func (s *Spec) benefitsKey() string {
 	x := newHasher()
 	x.ints(s.Bits)

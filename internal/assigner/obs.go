@@ -44,8 +44,9 @@ func obsPlanFail(r *obs.Registry, method Method, seconds float64, combinations i
 	r.Counter(metricSolverPlanFailures, ml).Inc()
 }
 
-// obsDPCells accumulates the DP cells (candidate (stage, groups, pair,
-// count) tuples) expanded by one solveDP run.
+// obsDPCells accumulates the DP cells one solveDP pass scans: for every
+// reachable (stage, range end, group count), the stage's memory-feasible
+// (pair, count) mixtures that meet the pass's time caps.
 func obsDPCells(r *obs.Registry, cells int) {
 	if r == nil || cells == 0 {
 		return

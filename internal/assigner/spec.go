@@ -108,8 +108,8 @@ type Spec struct {
 	// setting: see the deterministic reduction in Optimize.
 	Parallelism int
 	// Obs, when non-nil, receives solver metrics: time-to-plan, (order,
-	// micro-batch) combinations, DP cells expanded, ILP nodes and simplex
-	// pivots (DESIGN.md §8). Nil keeps the solve uninstrumented.
+	// micro-batch) combinations, DP cells (stage mixtures scanned), ILP
+	// nodes and simplex pivots (DESIGN.md §8). Nil keeps the solve uninstrumented.
 	Obs *obs.Registry
 	// Cache, when non-nil, memoizes spec-derived solver artifacts (timing
 	// rows, benefit tables, combination outcomes) across Optimize calls,
