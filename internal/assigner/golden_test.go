@@ -1,6 +1,7 @@
 package assigner_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -88,10 +89,13 @@ func solveGolden(t *testing.T, gc goldenCase) goldenPlan {
 	if err != nil {
 		t.Fatalf("%s: %v", gc.name, err)
 	}
-	p := res.Plan
+	return goldenOf(gc.clusterID, gc.model, res.Plan)
+}
+
+func goldenOf(clusterID int, model string, p *assigner.Plan) goldenPlan {
 	return goldenPlan{
-		Cluster:    fmt.Sprintf("cluster-%d", gc.clusterID),
-		Model:      gc.model,
+		Cluster:    fmt.Sprintf("cluster-%d", clusterID),
+		Model:      model,
 		Order:      p.Order,
 		Boundaries: p.Boundaries,
 		GroupBits:  p.GroupBits,
@@ -107,6 +111,46 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".json")
 }
 
+// checkGolden diffs a plan against its checked-in fixture, or rewrites
+// the fixture under -update. exact also requires the fixture's bytes to
+// match: float64 values marshal to their shortest round-trip form, so
+// equal JSON means bit-equal objectives.
+func checkGolden(t *testing.T, name string, got goldenPlan, exact bool) {
+	t.Helper()
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	path := goldenPath(name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	wantData, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture %s (run with -update to create): %v", path, err)
+	}
+	var want goldenPlan
+	if err := json.Unmarshal(wantData, &want); err != nil {
+		t.Fatalf("corrupt fixture %s: %v", path, err)
+	}
+	diff := diffGolden(want, got)
+	if diff == "" && exact && !bytes.Equal(wantData, data) {
+		diff = fmt.Sprintf("  not byte-identical; got:\n%s", data)
+	}
+	if diff != "" {
+		t.Errorf("plan for %s diverged from %s:\n%s\n(if the solver change is intentional, refresh with: go test ./internal/assigner/ -run TestGolden -update)",
+			name, path, diff)
+	}
+}
+
 // TestGoldenPlans re-solves each fixture's instance and diffs the plan
 // against the checked-in result. Run with -update to rewrite fixtures
 // after an intentional solver change.
@@ -114,34 +158,7 @@ func TestGoldenPlans(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			got := solveGolden(t, gc)
-			path := goldenPath(gc.name)
-			if *updateGolden {
-				data, err := json.MarshalIndent(got, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("rewrote %s", path)
-				return
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture %s (run with -update to create): %v", path, err)
-			}
-			var want goldenPlan
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatalf("corrupt fixture %s: %v", path, err)
-			}
-			if diff := diffGolden(want, got); diff != "" {
-				t.Errorf("plan for %s diverged from %s:\n%s\n(if the solver change is intentional, refresh with: go test ./internal/assigner/ -run TestGoldenPlans -update)",
-					gc.name, path, diff)
-			}
+			checkGolden(t, gc.name, solveGolden(t, gc), false)
 		})
 	}
 }
