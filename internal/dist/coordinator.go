@@ -71,9 +71,9 @@ type Config struct {
 	FlapTolerance int
 
 	// JournalDir, when non-empty, makes the coordinator durable: every
-	// determinism-relevant state transition — plan adoption, token
-	// mints, watermark commits, failover replans, completion — is
-	// appended (CRC-framed, fsync'd per record) to
+	// determinism-relevant state transition — plan adoption (with the
+	// failover transition behind it), token mints, watermark commits,
+	// completion — is appended (CRC-framed, fsync'd per record) to
 	// JournalDir/coordinator.journal, so a crashed coordinator can be
 	// restarted with Recover.
 	JournalDir string
@@ -110,7 +110,6 @@ type Config struct {
 	// part of a diffed artifact.
 	CtrlObs *obs.Registry
 	Spans   *obs.SpanRecorder
-	Trace   bool
 
 	Logf func(format string, args ...any)
 }
@@ -418,10 +417,8 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	co.setWorkersGauge(len(live))
 	cfg.Logf("membership complete: %d workers, %d stages", len(live), curPlan.NumStages())
 
-	res, cur, err := co.replayed()
-	if err == nil {
-		err = co.run(res, cur)
-	}
+	res, cur := co.replayed()
+	err := co.run(res, cur)
 	switch {
 	case errors.Is(err, ErrInjectedCoordCrash):
 		return nil, err
@@ -446,7 +443,7 @@ func (co *coordinator) openJournal() error {
 			return err
 		}
 		co.jnl = newCoordJournal(w, co.cfg.CtrlObs)
-		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(0, "initial", co.payload, 0, 0)})
+		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(0, co.payload, nil, 0, 0)})
 		return co.jnl.Err()
 	}
 	w, rep, err := journal.Continue(path)
@@ -477,9 +474,9 @@ func (co *coordinator) openJournal() error {
 
 // planRecord builds a PlanRecord with the solve-cache provenance of the
 // moment.
-func (co *coordinator) planRecord(epoch int, reason string, payload *PlanPayload, startRound, durable int) *PlanRecord {
+func (co *coordinator) planRecord(epoch int, payload *PlanPayload, tr *TransitionRecord, startRound, durable int) *PlanRecord {
 	pr := &PlanRecord{
-		Epoch: epoch, Reason: reason, Payload: payload,
+		Epoch: epoch, Payload: payload, Transition: tr,
 		StartRound: startRound, DurableTokens: durable,
 		StrategyHash: co.cfg.StrategyHash,
 	}
@@ -492,8 +489,8 @@ func (co *coordinator) planRecord(epoch int, reason string, payload *PlanPayload
 }
 
 // seedRecovered loads a replayed journal into coordinator state:
-// membership (with workers named in replan records pre-marked lost), the
-// current plan epoch, and the watermark.
+// membership (pre-marking the workers the journaled epochs leave lost),
+// the current plan epoch, and the watermark.
 func (co *coordinator) seedRecovered(st *RecoveredState) error {
 	if st.Done {
 		return fmt.Errorf("dist: recover: the journal records a completed run; nothing to resume")
@@ -520,16 +517,14 @@ func (co *coordinator) seedRecovered(st *RecoveredState) error {
 	if len(st.Members) > co.cfg.Workers {
 		return fmt.Errorf("dist: recover: journal holds %d members, config allows %d", len(st.Members), co.cfg.Workers)
 	}
-	lost := make(map[string]bool, len(st.Replans))
-	for _, rr := range st.Replans {
-		lost[rr.LostWorker] = true
-	}
-	// A journaled heal resurrects the worker: it reattaches under its
-	// rotated token like any survivor. (Flap counts are not journaled —
-	// the tolerance budget resets with the coordinator process.)
-	for _, hr := range st.Restores {
-		for _, name := range hr.HealedWorkers {
-			delete(lost, name)
+	// A shrink loses its worker; a later heal resurrects it, and it
+	// reattaches under its rotated token like any survivor. (Flap counts
+	// are not journaled — the tolerance budget resets with the coordinator
+	// process.)
+	lost := map[string]bool{}
+	for _, pr := range st.Plans[1:] {
+		for _, name := range pr.Transition.Workers {
+			lost[name] = pr.Transition.Lost != nil
 		}
 	}
 	for _, mr := range st.Members {
@@ -598,54 +593,42 @@ func (co *coordinator) awaitMembership() error {
 	}
 }
 
-// replayed rebuilds the transitions a recovered journal holds — each
-// replan or restore epoch paired with the write-ahead record before it —
-// and re-exports them (failover.Observe), so the recovered run's sim
-// registry still reports the epochs it resumes from. It returns the
-// result so far and the current epoch's outcome (nil at epoch 0, and on a
-// fresh start).
-func (co *coordinator) replayed() (*Result, *failover.Outcome, error) {
+// replayed rebuilds the transition behind each journaled epoch as a
+// failover.Outcome and re-exports it (failover.Observe), so the recovered
+// run's sim registry still reports the epochs it resumes from. It returns
+// the result so far and the current epoch's outcome (nil at epoch 0, and
+// on a fresh start).
+func (co *coordinator) replayed() (*Result, *failover.Outcome) {
 	res := &Result{}
 	st := co.recovered
 	if st == nil {
-		return res, nil, nil
+		return res, nil
 	}
 	var cur *failover.Outcome
-	var replans, restores int
 	for _, pr := range st.Plans[1:] {
+		t := pr.Transition
 		spec := *co.cfg.Spec
 		spec.Cluster = pr.Payload.Cluster
-		out := &failover.Outcome{Degraded: &spec, Plan: pr.Payload.Plan}
-		switch {
-		case pr.Reason == "replan" && replans < len(st.Replans):
-			rr := st.Replans[replans]
-			replans++
-			out.Lost = &rt.DeviceLostError{
-				Stage: rr.LostStage, Device: rr.LostDevice, AtSec: rr.AtSec,
-				Watermark: rr.Watermark, DurableTokens: rr.DurableTokens, PrefillDone: rr.PrefillDone,
+		out := &failover.Outcome{
+			Lost: t.Lost, Halt: t.Halt, Degraded: &spec, Plan: pr.Payload.Plan,
+			MovedLayers: t.MovedLayers, Migration: t.Migration,
+			StartRound: pr.StartRound, DurableTokens: pr.DurableTokens,
+		}
+		if t.Halt != nil {
+			out.RestoredDevices = t.Devices
+			res.HealedWorkers = t.Workers
+		} else {
+			out.LostDevices = t.Devices
+			if len(t.Devices) > 0 {
+				out.LostDevice = t.Devices[0]
 			}
-			out.LostDevices, out.MovedLayers, out.Migration, out.StartRound = rr.LostDevices, rr.MovedLayers, rr.Migration, rr.StartRound
-			if len(rr.LostDevices) > 0 {
-				out.LostDevice = rr.LostDevices[0]
-			}
-			res.LostWorker = rr.LostWorker
-		case pr.Reason == "restore" && restores < len(st.Restores):
-			hr := st.Restores[restores]
-			restores++
-			out.Halt = &rt.RestoreHaltError{
-				AtSec: hr.AtSec, Watermark: hr.Watermark,
-				DurableTokens: hr.DurableTokens, PrefillDone: hr.PrefillDone,
-			}
-			out.RestoredDevices, out.MovedLayers, out.Migration, out.StartRound = hr.ReturnedDevices, hr.MovedLayers, hr.Migration, hr.StartRound
-			res.HealedWorkers = hr.HealedWorkers
-		default:
-			return nil, nil, fmt.Errorf("dist: recover: plan epoch %d (%s) has no journaled transition", pr.Epoch, pr.Reason)
+			res.LostWorker = t.Workers[0]
 		}
 		failover.Observe(co.cfg.Obs, co.cfg.Spans, out)
 		res.Apply(out)
 		cur = out
 	}
-	return res, cur, nil
+	return res, cur
 }
 
 // run is the coordinator's epoch loop. Each pass runs the current epoch's
@@ -681,7 +664,7 @@ func (co *coordinator) run(res *Result, cur *failover.Outcome) error {
 		eng.StartRound = co.startRound
 		eng.StageTimer = co.stageTime
 		eng.OnRoundCommit = co.onRoundCommit
-		eng.Obs, eng.Spans, eng.Trace = cfg.Obs, cfg.Spans, cfg.Trace
+		eng.Obs, eng.Spans = cfg.Obs, cfg.Spans
 		co.healArmed.Store(armed)
 		stats, err := eng.Run()
 		co.healArmed.Store(false)
@@ -737,12 +720,7 @@ func (co *coordinator) shrink(res *Result, lost *rt.DeviceLostError) (*failover.
 		return nil, err
 	}
 	res.Apply(out)
-	return out, co.adopt(out, nil, &Record{Type: RecReplan, Replan: &ReplanRecord{
-		LostWorker: res.LostWorker, LostStage: lost.Stage, LostDevice: lost.Device,
-		AtSec: lost.AtSec, Watermark: lost.Watermark, DurableTokens: lost.DurableTokens,
-		PrefillDone: lost.PrefillDone, LostDevices: out.LostDevices,
-		MovedLayers: out.MovedLayers, Migration: out.Migration, StartRound: out.StartRound,
-	}})
+	return out, co.adopt(out, []string{res.LostWorker}, nil)
 }
 
 // grow answers the degraded epoch's restore halt: replan capacity back
@@ -766,22 +744,17 @@ func (co *coordinator) grow(res *Result, cur *failover.Outcome, halt *rt.Restore
 	for _, m := range healed {
 		res.HealedWorkers = append(res.HealedWorkers, m.name)
 	}
-	return out, co.adopt(out, healed, &Record{Type: RecRestore, Restore: &RestoreRecord{
-		HealedWorkers: res.HealedWorkers, ReturnedDevices: out.RestoredDevices,
-		AtSec: halt.AtSec, Watermark: halt.Watermark, DurableTokens: halt.DurableTokens,
-		PrefillDone: halt.PrefillDone, MovedLayers: out.MovedLayers,
-		Migration: out.Migration, StartRound: out.StartRound,
-	}})
+	return out, co.adopt(out, res.HealedWorkers, healed)
 }
 
-// adopt makes a transition's plan the next epoch. The transition is
-// journaled write-ahead, before any worker acts on it: its instant (a
-// lease or dwell expiry) is wall-clock data a recovered coordinator
-// cannot re-derive, so the transition record plus the new plan epoch are
-// the journal's load-bearing entries. The healed members then complete
-// their join barrier — the new plan is what admits them back to serving —
-// and the other serving members follow.
-func (co *coordinator) adopt(out *failover.Outcome, healed []*member, rec *Record) error {
+// adopt makes a transition's plan the next epoch. The epoch and the
+// transition behind it are journaled as one write-ahead record, before
+// any worker acts on it: the transition's instant (a lease or dwell
+// expiry) is wall-clock data a recovered coordinator cannot re-derive.
+// workers names the lost worker or the healed ones. The healed members
+// then complete their join barrier — the new plan is what admits them
+// back to serving — and the other serving members follow.
+func (co *coordinator) adopt(out *failover.Outcome, workers []string, healed []*member) error {
 	serving := append(co.liveMembers(), healed...)
 	sort.Slice(serving, func(i, j int) bool { return serving[i].name < serving[j].name })
 	if len(serving) == 0 {
@@ -794,12 +767,14 @@ func (co *coordinator) adopt(out *failover.Outcome, healed []*member, rec *Recor
 	co.epoch++
 	co.startRound, co.baseDurable = out.StartRound, out.DurableTokens
 	if co.jnl != nil {
-		reason := "replan"
-		if out.Halt != nil {
-			reason = "restore"
+		tr := &TransitionRecord{
+			Lost: out.Lost, Halt: out.Halt, Workers: workers, Devices: out.LostDevices,
+			MovedLayers: out.MovedLayers, Migration: out.Migration,
 		}
-		co.jnl.append(rec)
-		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(co.epoch, reason, payload, out.StartRound, out.DurableTokens)})
+		if out.Halt != nil {
+			tr.Devices = out.RestoredDevices
+		}
+		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(co.epoch, payload, tr, out.StartRound, out.DurableTokens)})
 		if err := co.jnl.Err(); err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	rt "repro/internal/runtime"
 )
 
 // TestDecodeStateViolations pins the semantic validator's taxonomy: each
@@ -28,8 +29,14 @@ func TestDecodeStateViolations(t *testing.T) {
 		return out
 	}
 	plan0 := func() *Record {
-		return &Record{Type: RecPlan, Seq: 1, Plan: &PlanRecord{Epoch: 0, Reason: "initial", Payload: payload}}
+		return &Record{Type: RecPlan, Seq: 1, Plan: &PlanRecord{Epoch: 0, Payload: payload}}
 	}
+	lost := &rt.DeviceLostError{Stage: 1, Device: p.Order[1], Watermark: 2, DurableTokens: 16, PrefillDone: true}
+	halt := &rt.RestoreHaltError{Watermark: 6, DurableTokens: 48, PrefillDone: true}
+	epoch := func(seq, n int, tr *TransitionRecord) *Record {
+		return &Record{Type: RecPlan, Seq: seq, Plan: &PlanRecord{Epoch: n, Payload: payload, Transition: tr}}
+	}
+	shrink := &TransitionRecord{Lost: lost, Workers: []string{"w"}}
 	cases := []struct {
 		name string
 		want string
@@ -53,14 +60,23 @@ func TestDecodeStateViolations(t *testing.T) {
 			&Record{Type: RecRound, Seq: 2, Round: &RoundRecord{Watermark: -1}})},
 		{"round unadopted epoch", "unadopted epoch 1", enc(plan0(),
 			&Record{Type: RecRound, Seq: 2, Round: &RoundRecord{Epoch: 1, Watermark: 1}})},
-		{"replan without payload", "replan record without payload", enc(plan0(), &Record{Type: RecReplan, Seq: 2})},
-		{"replan without worker", "without a lost worker", enc(plan0(),
-			&Record{Type: RecReplan, Seq: 2, Replan: &ReplanRecord{}})},
-		{"restore without payload", "restore record without payload", enc(plan0(), &Record{Type: RecRestore, Seq: 2})},
-		{"restore without worker", "without a healed worker", enc(plan0(),
-			&Record{Type: RecRestore, Seq: 2, Restore: &RestoreRecord{}})},
-		{"restore before replan", "without a preceding replan", enc(plan0(),
-			&Record{Type: RecRestore, Seq: 2, Restore: &RestoreRecord{HealedWorkers: []string{"w"}}})},
+		{"epoch without transition", "plan epoch 1 without a transition", enc(plan0(), epoch(2, 1, nil))},
+		{"epoch 0 with transition", "epoch-0 plan with a transition", enc(epoch(1, 0, shrink))},
+		{"transition with loss and halt", "exactly one of a loss and a restore halt", enc(plan0(),
+			epoch(2, 1, &TransitionRecord{Lost: lost, Halt: halt, Workers: []string{"w"}}))},
+		{"transition with neither", "exactly one of a loss and a restore halt", enc(plan0(),
+			epoch(2, 1, &TransitionRecord{Workers: []string{"w"}}))},
+		{"replan without worker", "names no worker", enc(plan0(), epoch(2, 1, &TransitionRecord{Lost: lost}))},
+		{"restore without worker", "names no worker", enc(plan0(), epoch(2, 1, shrink),
+			epoch(3, 2, &TransitionRecord{Halt: halt}))},
+		{"restore before replan", "restore without an earlier shrink", enc(plan0(),
+			epoch(2, 1, &TransitionRecord{Halt: halt, Workers: []string{"w"}}))},
+		{"second restore", "restore without an earlier shrink", enc(plan0(), epoch(2, 1, shrink),
+			epoch(3, 2, &TransitionRecord{Halt: halt, Workers: []string{"w"}}),
+			epoch(4, 3, &TransitionRecord{Halt: halt, Workers: []string{"w"}}))},
+		// The retired transition records fail typed, with no migration.
+		{"replan without payload", `unknown record type "replan"`, enc(plan0(), &Record{Type: "replan", Seq: 2})},
+		{"restore without payload", `unknown record type "restore"`, enc(plan0(), &Record{Type: "restore", Seq: 2})},
 		{"recover without payload", "recover record without payload", enc(plan0(), &Record{Type: RecRecover, Seq: 2})},
 		{"unknown type", "unknown record type", enc(plan0(), &Record{Type: "bogus", Seq: 2})},
 		{"empty journal", "no plan record", nil},

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/assigner"
 	"repro/internal/core/retry"
 	"repro/internal/failover"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 )
@@ -184,20 +186,20 @@ func TestSeedRecoveredHealResurrects(t *testing.T) {
 		return out
 	}
 	st, err := DecodeState(enc(
-		&Record{Type: RecPlan, Plan: &PlanRecord{Epoch: 0, Reason: "initial", Payload: payload}},
+		&Record{Type: RecPlan, Plan: &PlanRecord{Epoch: 0, Payload: payload}},
 		&Record{Type: RecMember, Member: &MemberRecord{Name: "worker-a", Token: "lease-1-worker-a", Ord: 1}},
 		&Record{Type: RecMember, Member: &MemberRecord{Name: "worker-b", Token: "lease-2-worker-b", Ord: 2}},
-		&Record{Type: RecReplan, Replan: &ReplanRecord{LostWorker: "worker-b", Watermark: 2, StartRound: 2}},
-		&Record{Type: RecPlan, Plan: &PlanRecord{Epoch: 1, Reason: "replan", Payload: payload, StartRound: 2, DurableTokens: 16}},
+		&Record{Type: RecPlan, Plan: &PlanRecord{Epoch: 1, Payload: payload, StartRound: 2, DurableTokens: 16,
+			Transition: &TransitionRecord{Lost: &rt.DeviceLostError{Watermark: 2}, Workers: []string{"worker-b"}}}},
 		&Record{Type: RecMember, Member: &MemberRecord{Name: "worker-b", Token: "lease-3-worker-b", Ord: 3}},
-		&Record{Type: RecRestore, Restore: &RestoreRecord{HealedWorkers: []string{"worker-b"}, Watermark: 6, StartRound: 6}},
-		&Record{Type: RecPlan, Plan: &PlanRecord{Epoch: 2, Reason: "restore", Payload: payload, StartRound: 6, DurableTokens: 48}},
+		&Record{Type: RecPlan, Plan: &PlanRecord{Epoch: 2, Payload: payload, StartRound: 6, DurableTokens: 48,
+			Transition: &TransitionRecord{Halt: &rt.RestoreHaltError{Watermark: 6}, Workers: []string{"worker-b"}}}},
 	))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Restores) != 1 || st.Restores[0].HealedWorkers[0] != "worker-b" {
-		t.Fatalf("restores not decoded: %+v", st.Restores)
+	if tr := st.Plans[2].Transition; tr.Halt == nil || tr.Workers[0] != "worker-b" {
+		t.Fatalf("restore not decoded: %+v", tr)
 	}
 	cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
 	co := &coordinator{
@@ -232,7 +234,9 @@ func TestSeedRecoveredHealResurrects(t *testing.T) {
 // restarted worker-b presents its name with the rejoin flag, holds its
 // lease through the dwell, and the coordinator halts the degraded run,
 // replans back onto the full cluster — returning to exactly the
-// pre-loss plan — and finishes there with every token conserved.
+// pre-loss plan — and finishes there with every token conserved. The run
+// is journaled, and every prefix of its journal must recover to the
+// membership the coordinator held at that point.
 func TestWorkerRejoinHeal(t *testing.T) {
 	s := distSpec(t)
 	s.Work.Generate = 32 // enough decode runway for the heal to land mid-run
@@ -248,6 +252,7 @@ func TestWorkerRejoinHeal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	ln := listen(t)
+	dir := t.TempDir()
 
 	pace := 20 * time.Millisecond
 	// The restart's backoff must beat the degraded run: tight cadence so
@@ -280,7 +285,7 @@ func TestWorkerRejoinHeal(t *testing.T) {
 		Listener: ln, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 400 * time.Millisecond,
 		Rejoin: true, HealDwell: 50 * time.Millisecond,
-		Obs: reg, CtrlObs: ctrl,
+		JournalDir: dir, Obs: reg, CtrlObs: ctrl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,6 +333,61 @@ func TestWorkerRejoinHeal(t *testing.T) {
 	}
 	if bErr2 != nil {
 		t.Errorf("worker-b rejoin exit: %v", bErr2)
+	}
+	checkHealJournal(t, dir, s, p)
+}
+
+// checkHealJournal replays a healed run's journal: epoch 1 is the shrink
+// that lost worker-b, epoch 2 the restore that healed it, and every
+// record prefix — each a crash point — decodes, and recovery from it
+// marks worker-b lost exactly while the shrink stands unrestored.
+func checkHealJournal(t *testing.T, dir string, s *assigner.Spec, p *assigner.Plan) {
+	t.Helper()
+	rep, err := journal.ReplayFile(filepath.Join(dir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeState(rep.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Plans) != 3 || !st.Done {
+		t.Fatalf("journal holds %d epochs (done=%v), want 3 and sealed", len(st.Plans), st.Done)
+	}
+	b := []string{"worker-b"}
+	if tr := st.Plans[1].Transition; tr.Lost == nil || !reflect.DeepEqual(tr.Workers, b) {
+		t.Errorf("epoch 1 transition %+v, want a shrink losing worker-b", tr)
+	}
+	if tr := st.Plans[2].Transition; tr.Halt == nil || !reflect.DeepEqual(tr.Workers, b) {
+		t.Errorf("epoch 2 transition %+v, want a restore healing worker-b", tr)
+	}
+	for n := 1; n <= len(rep.Records); n++ {
+		pst, err := DecodeState(rep.Records[:n])
+		if err != nil {
+			t.Fatalf("prefix of %d records: %v", n, err)
+		}
+		if pst.Done {
+			continue
+		}
+		cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
+		co := &coordinator{
+			cfg:     cfg.withDefaults(),
+			members: make(map[string]*member),
+			payload: NewPlanPayload(s, p),
+			joined:  make(chan struct{}),
+		}
+		if err := co.seedRecovered(pst); err != nil {
+			t.Fatalf("prefix of %d records: %v", n, err)
+		}
+		lost := false
+		if m := co.members["worker-b"]; m != nil {
+			m.mu.Lock()
+			lost = m.lost
+			m.mu.Unlock()
+		}
+		if want := len(pst.Plans) == 2; lost != want {
+			t.Errorf("prefix of %d records (%d epochs): worker-b lost=%v, want %v", n, len(pst.Plans), lost, want)
+		}
 	}
 }
 

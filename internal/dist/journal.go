@@ -3,11 +3,13 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	rt "repro/internal/runtime"
 )
 
 // JournalFile is the journal's file name inside Config.JournalDir.
@@ -19,20 +21,13 @@ type RecordType string
 const (
 	// RecPlan adopts a plan epoch: the full wire payload plus the
 	// watermark it starts from. Epoch 0 is the configured strategy;
-	// each failover replan appends the next epoch.
+	// each later epoch also carries the transition that produced it.
 	RecPlan RecordType = "plan"
 	// RecMember records a minted rejoin token — appended only after the
 	// welcome carrying it was delivered.
 	RecMember RecordType = "member"
 	// RecRound records a completed-token watermark advance.
 	RecRound RecordType = "round"
-	// RecReplan records a worker loss and its shrinking transition; the
-	// next record is the degraded RecPlan.
-	RecReplan RecordType = "replan"
-	// RecRestore records a heal: the lost worker rejoined, held its
-	// lease for the dwell, and the fleet replanned capacity back; the
-	// next record is the restored RecPlan.
-	RecRestore RecordType = "restore"
 	// RecRecover marks a recovery boundary: a restarted coordinator
 	// replayed everything before it.
 	RecRecover RecordType = "recover"
@@ -51,17 +46,16 @@ type Record struct {
 	Plan    *PlanRecord    `json:"plan,omitempty"`
 	Member  *MemberRecord  `json:"member,omitempty"`
 	Round   *RoundRecord   `json:"round,omitempty"`
-	Replan  *ReplanRecord  `json:"replan,omitempty"`
-	Restore *RestoreRecord `json:"restore,omitempty"`
 	Recover *RecoverRecord `json:"recover,omitempty"`
 }
 
 // PlanRecord is one plan adoption.
 type PlanRecord struct {
-	Epoch int `json:"epoch"`
-	// Reason is "initial" for epoch 0, "replan" afterwards.
-	Reason  string       `json:"reason"`
+	Epoch   int          `json:"epoch"`
 	Payload *PlanPayload `json:"payload"`
+	// Transition is the shrink or restore that produced this epoch; nil
+	// exactly at epoch 0.
+	Transition *TransitionRecord `json:"transition,omitempty"`
 	// StartRound is the watermark this epoch runs from (0 for epoch 0).
 	StartRound int `json:"start_round"`
 	// DurableTokens is the cumulative token count credited before this
@@ -99,39 +93,21 @@ type RoundRecord struct {
 	RunTokens int `json:"run_tokens"`
 }
 
-// ReplanRecord is one healed worker loss: the DeviceLostError the engine
-// surfaced plus the shrinking failover.Transition outcome. The loss
-// instant is wall-clock dependent (a lease expiry), so it cannot be
-// re-derived after a crash — this record is what makes a post-replan run
-// recoverable.
-type ReplanRecord struct {
-	LostWorker    string                      `json:"lost_worker"`
-	LostStage     int                         `json:"lost_stage"`
-	LostDevice    int                         `json:"lost_device"`
-	AtSec         float64                     `json:"at_sec"`
-	Watermark     int                         `json:"watermark"`
-	DurableTokens int                         `json:"durable_tokens"`
-	PrefillDone   bool                        `json:"prefill_done"`
-	LostDevices   []string                    `json:"lost_devices"`
-	MovedLayers   int                         `json:"moved_layers"`
-	Migration     costmodel.MigrationBreakdown `json:"migration"`
-	StartRound    int                         `json:"start_round"`
-}
-
-// RestoreRecord is one heal: the restore halt the engine surfaced plus
-// the restoring failover.Transition outcome. Like the loss, the heal
-// instant is wall-clock dependent (a dwell expiry after a rejoin), so it
-// is journaled write-ahead before any worker acts on the restored plan.
-type RestoreRecord struct {
-	HealedWorkers   []string                     `json:"healed_workers"`
-	ReturnedDevices []string                     `json:"returned_devices,omitempty"`
-	AtSec           float64                      `json:"at_sec"`
-	Watermark       int                          `json:"watermark"`
-	DurableTokens   int                          `json:"durable_tokens"`
-	PrefillDone     bool                         `json:"prefill_done"`
-	MovedLayers     int                          `json:"moved_layers"`
-	Migration       costmodel.MigrationBreakdown `json:"migration"`
-	StartRound      int                          `json:"start_round"`
+// TransitionRecord is the failover.Transition outcome a plan epoch
+// adopts. The halt instant is wall-clock dependent (a lease or dwell
+// expiry), so it cannot be re-derived after a crash: the epoch is
+// journaled write-ahead, before any worker acts on it. The watermark
+// lives in the halt and in the enclosing PlanRecord.
+type TransitionRecord struct {
+	// Exactly one is set: Lost for a shrink, Halt for a restore.
+	Lost *rt.DeviceLostError  `json:"lost,omitempty"`
+	Halt *rt.RestoreHaltError `json:"halt,omitempty"`
+	// Workers names the lost worker (shrink) or the healed ones (restore);
+	// Devices names the physical devices that left or returned.
+	Workers     []string                     `json:"workers"`
+	Devices     []string                     `json:"devices,omitempty"`
+	MovedLayers int                          `json:"moved_layers"`
+	Migration   costmodel.MigrationBreakdown `json:"migration"`
 }
 
 // RecoverRecord marks a recovery boundary.
@@ -149,10 +125,6 @@ type RecoveredState struct {
 	// LastRound is the latest watermark commit, nil before prefill
 	// completed.
 	LastRound *RoundRecord
-	// Replans holds every healed worker loss in order.
-	Replans []*ReplanRecord
-	// Restores holds every heal (capacity-restoring replan) in order.
-	Restores []*RestoreRecord
 	// Done reports the journal ends in RecDone — nothing to recover.
 	Done bool
 	// Records is the replayed record count; the next append is seq
@@ -171,12 +143,14 @@ func corrupt(index int, format string, args ...any) error {
 
 // DecodeState decodes and semantically validates replayed journal
 // payloads. Any structural violation — bad JSON, unknown type, missing
-// payload, sequence break, epoch disorder — returns a
+// payload, sequence break, epoch disorder, a transition missing from (or
+// present at) an epoch, a restore with no shrink to undo — returns a
 // *journal.CorruptJournalError (with the record index as the offset),
 // never a panic.
 func DecodeState(records [][]byte) (*RecoveredState, error) {
 	st := &RecoveredState{}
 	byName := map[string]int{}
+	degraded := 0 // shrinks not yet undone by a restore
 	for i, raw := range records {
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -209,6 +183,23 @@ func DecodeState(records [][]byte) (*RecoveredState, error) {
 			if p.StartRound < 0 || p.DurableTokens < 0 {
 				return nil, corrupt(i, "negative watermark in plan record")
 			}
+			switch t := p.Transition; {
+			case t == nil && p.Epoch > 0:
+				return nil, corrupt(i, "plan epoch %d without a transition", p.Epoch)
+			case t == nil:
+			case p.Epoch == 0:
+				return nil, corrupt(i, "epoch-0 plan with a transition")
+			case (t.Lost == nil) == (t.Halt == nil):
+				return nil, corrupt(i, "transition must carry exactly one of a loss and a restore halt")
+			case len(t.Workers) == 0 || slices.Contains(t.Workers, ""):
+				return nil, corrupt(i, "transition names no worker")
+			case t.Lost != nil:
+				degraded++
+			case degraded == 0:
+				return nil, corrupt(i, "restore without an earlier shrink")
+			default:
+				degraded--
+			}
 			st.Plans = append(st.Plans, p)
 		case RecMember:
 			m := rec.Member
@@ -236,27 +227,6 @@ func DecodeState(records [][]byte) (*RecoveredState, error) {
 				return nil, corrupt(i, "round record for unadopted epoch %d", r.Epoch)
 			}
 			st.LastRound = r
-		case RecReplan:
-			r := rec.Replan
-			if r == nil {
-				return nil, corrupt(i, "replan record without payload")
-			}
-			if r.LostWorker == "" {
-				return nil, corrupt(i, "replan record without a lost worker")
-			}
-			st.Replans = append(st.Replans, r)
-		case RecRestore:
-			r := rec.Restore
-			if r == nil {
-				return nil, corrupt(i, "restore record without payload")
-			}
-			if len(r.HealedWorkers) == 0 {
-				return nil, corrupt(i, "restore record without a healed worker")
-			}
-			if len(st.Replans) <= len(st.Restores) {
-				return nil, corrupt(i, "restore record without a preceding replan")
-			}
-			st.Restores = append(st.Restores, r)
 		case RecRecover:
 			if rec.Recover == nil {
 				return nil, corrupt(i, "recover record without payload")

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	rt "repro/internal/runtime"
 )
 
 // fuzzSeedJournal builds a well-formed journal holding one record of
-// every type, returning its raw bytes — the interesting seed for
-// mutation-based fuzzing of the replay path.
+// every type and a transition in each direction — epoch 0, a shrink
+// epoch 1, a restore epoch 2 — returning its raw bytes: the interesting
+// seed for mutation-based fuzzing of the replay path.
 func fuzzSeedJournal(f *testing.F) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.journal")
@@ -20,13 +22,21 @@ func fuzzSeedJournal(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
+	spec := distSpec(f)
+	payload := NewPlanPayload(spec, distPlan(f, spec))
+	lost := &rt.DeviceLostError{Stage: 1, Device: 1, AtSec: 0.5, Watermark: 1, DurableTokens: 8, PrefillDone: true}
+	halt := &rt.RestoreHaltError{AtSec: 0.9, Watermark: 3, DurableTokens: 24, PrefillDone: true}
 	recs := []*Record{
-		{Type: RecPlan, Seq: 1, Plan: &PlanRecord{Epoch: 0, Reason: "initial", Payload: &PlanPayload{}}},
+		{Type: RecPlan, Seq: 1, Plan: &PlanRecord{Epoch: 0, Payload: payload}},
 		{Type: RecMember, Seq: 2, Member: &MemberRecord{Name: "w", Token: "lease-1-w", Ord: 1}},
 		{Type: RecRound, Seq: 3, Round: &RoundRecord{Watermark: 1, DurableTokens: 8, PrefillDone: true, RunTokens: 8}},
-		{Type: RecReplan, Seq: 4, Replan: &ReplanRecord{LostWorker: "w", Watermark: 1, DurableTokens: 8}},
-		{Type: RecRecover, Seq: 5, Recover: &RecoverRecord{Replayed: 4}},
-		{Type: RecDone, Seq: 6},
+		{Type: RecPlan, Seq: 4, Plan: &PlanRecord{Epoch: 1, Payload: payload, StartRound: 1, DurableTokens: 8,
+			Transition: &TransitionRecord{Lost: lost, Workers: []string{"w"}, Devices: []string{"gpu1"}, MovedLayers: 2}}},
+		{Type: RecMember, Seq: 5, Member: &MemberRecord{Name: "w", Token: "lease-2-w", Ord: 2}},
+		{Type: RecPlan, Seq: 6, Plan: &PlanRecord{Epoch: 2, Payload: payload, StartRound: 3, DurableTokens: 24,
+			Transition: &TransitionRecord{Halt: halt, Workers: []string{"w"}, Devices: []string{"gpu1"}, MovedLayers: 2}}},
+		{Type: RecRecover, Seq: 7, Recover: &RecoverRecord{Replayed: 6}},
+		{Type: RecDone, Seq: 8},
 	}
 	for _, r := range recs {
 		buf, err := json.Marshal(r)
@@ -43,6 +53,15 @@ func fuzzSeedJournal(f *testing.F) []byte {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
+	}
+	// The seed must decode cleanly, or mutations never reach the
+	// transition checks.
+	rep, err := journal.ReplayBytes(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := DecodeState(rep.Records); err != nil {
+		f.Fatalf("seed journal does not decode: %v", err)
 	}
 	return data
 }

@@ -245,8 +245,8 @@ func TestCrashAfterReplanRecovery(t *testing.T) {
 		t.Fatalf("crash run returned %v, want ErrInjectedCoordCrash", err)
 	}
 	mid := replayDir(t, dir)
-	if len(mid.Replans) != 1 || len(mid.Plans) != 2 {
-		t.Fatalf("crashed journal should hold the replan (replans=%d plans=%d)", len(mid.Replans), len(mid.Plans))
+	if len(mid.Plans) != 2 || mid.Plans[1].Transition.Lost == nil {
+		t.Fatalf("crashed journal should hold the shrink epoch (plans=%d)", len(mid.Plans))
 	}
 
 	// Recovery: only the survivor reattaches; worker-b is journaled lost.
