@@ -1,9 +1,10 @@
 GO ?= go
 
-# Tier-1 verify: build, stock vet, the domain lint suite, tests.
+# Tier-1 verify: build, gofmt, stock vet, the domain lint suite, tests.
 .PHONY: verify
 verify:
 	$(GO) build ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/llmpq-vet ./...
 	$(GO) test ./...

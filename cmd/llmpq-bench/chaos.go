@@ -51,7 +51,7 @@ func runChaos(profile string, seed int64, metricsOut, traceOut string, solveCach
 	if solveCache {
 		// The initial solve seeds the cache; the failover replan then
 		// warm-starts from it (timing rows and benefit tables survive the
-		// device loss, and the incumbent prunes the degraded scan).
+		// device loss).
 		spec.Cache = assigner.NewSolveCache()
 	}
 	res, err := assigner.Optimize(spec, nil)

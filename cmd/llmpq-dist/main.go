@@ -144,14 +144,13 @@ func runSingle(stratFile string, verbose, gantt bool, metricsOut, traceOut strin
 	if err != nil {
 		fatalf("%v", err)
 	}
-	eng.Trace = gantt
 	var reg *obs.Registry
 	var rec *obs.SpanRecorder
 	if metricsOut != "" {
 		reg = obs.NewRegistry()
 		eng.Obs = reg
 	}
-	if traceOut != "" {
+	if traceOut != "" || gantt {
 		rec = obs.NewSpanRecorder()
 		eng.Spans = rec
 	}
@@ -173,7 +172,7 @@ func runSingle(stratFile string, verbose, gantt bool, metricsOut, traceOut strin
 		fmt.Printf("events       %d\n", st.Events)
 	}
 	if gantt {
-		out, err := runtime.RenderGantt(st.Trace, plan.NumStages(), st.LatencySec, 100)
+		out, err := runtime.RenderGantt(rec.Spans(), plan.NumStages(), st.LatencySec, 100)
 		if err != nil {
 			fatalf("gantt: %v", err)
 		}
@@ -362,7 +361,7 @@ func writeArtifacts(reg *obs.Registry, rec *obs.SpanRecorder, metricsOut, traceO
 		}
 		fmt.Printf("metrics      %s\n", metricsOut)
 	}
-	if rec != nil {
+	if traceOut != "" {
 		if err := obs.WriteArtifact(traceOut, rec.WriteChromeTrace); err != nil {
 			fatalf("write trace: %v", err)
 		}

@@ -12,7 +12,7 @@ func (r *Registry) Counter(name string) *Counter {
 	return &Counter{}
 }
 
-func (r *Registry) Gauge(name string) *Counter   { return &Counter{} }
+func (r *Registry) Gauge(name string) *Counter     { return &Counter{} }
 func (r *Registry) Histogram(name string) *Counter { return &Counter{} }
 
 // Counter is a stub metric.
@@ -27,10 +27,10 @@ var CtrlObs = &Registry{}
 const replansFamily = "llmpq_failover_replans_total"
 
 func direct() {
-	Obs.Counter("llmpq_engine_steps_total").Inc()       // sim family on sim registry
+	Obs.Counter("llmpq_engine_steps_total").Inc()        // sim family on sim registry
 	CtrlObs.Counter("llmpq_dist_heartbeats_total").Inc() // ctrl family on ctrl registry
 
-	Obs.Counter("llmpq_dist_heartbeats_total").Inc() // want "is a ctrl family per simctrl.manifest but is registered on the sim registry"
+	Obs.Counter("llmpq_dist_heartbeats_total").Inc()  // want "is a ctrl family per simctrl.manifest but is registered on the sim registry"
 	CtrlObs.Counter("llmpq_engine_steps_total").Inc() // want "is a sim family per simctrl.manifest but is registered on the ctrl registry"
 
 	// Exact sim names carve exceptions out of the llmpq_dist_* ctrl glob.

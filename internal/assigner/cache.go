@@ -330,9 +330,9 @@ func (s *Spec) benefitsKey() string {
 
 // comboBaseKey is the shared prefix of every combination key for one
 // Optimize call: everything solveInner's outcome depends on except the
-// (order, prefill micro-batch) pair itself. Parallelism, Obs, Cache, and
-// Incumbent are deliberately excluded — outcomes are independent of them
-// (the byte-identity guarantee), so solves may share entries across those
+// (order, prefill micro-batch) pair itself. Parallelism, Obs and Cache
+// are deliberately excluded — outcomes are independent of them (the
+// byte-identity guarantee), so solves may share entries across those
 // settings. The cluster is hashed by device content in index order;
 // cluster *names* (e.g. the "-degraded" suffix) don't affect plans.
 func (s *Spec) comboBaseKey(timerKey string) string {

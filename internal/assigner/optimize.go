@@ -3,7 +3,6 @@ package assigner
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -135,28 +134,8 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 		}
 	}
 
-	// Warm start: re-score the incumbent (if any, and if it is valid for
-	// this spec) on this call's tables. Its exact objective becomes the
-	// pruning bar for the scan below; combinations whose cheap lower
-	// bound cannot beat it are skipped, with a post-barrier fallback that
-	// keeps the result byte-identical to a cold solve (DESIGN.md §13).
-	incObj := math.Inf(1)
-	if s.Incumbent != nil {
-		incObj = incumbentObjective(s, tables, mbps)
-	}
-	var minOmega float64
-	if !math.IsInf(incObj, 1) {
-		mo, err := minOmegaTotal(s)
-		if err != nil {
-			incObj = math.Inf(1) // no pruning; the cold path surfaces the error
-		} else {
-			minOmega = mo
-		}
-	}
-
 	combos := len(mbps) * len(orders)
 	results := make([]comboOutcome, combos)
-	pruned := make([]bool, combos)
 	workers := s.parallelism()
 	if workers > combos {
 		workers = combos
@@ -209,11 +188,7 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 					err = testComboFault(idx)
 				}
 				if err == nil {
-					if lbPrunes(tables[idx/len(orders)], orders[idx%len(orders)], incObj, minOmega) {
-						pruned[idx] = true
-					} else {
-						plan, ev, err = solveCombo(idx)
-					}
+					plan, ev, err = solveCombo(idx)
 				}
 				results[idx] = comboOutcome{plan: plan, ev: ev, err: err}
 				if err != nil {
@@ -231,66 +206,15 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 	// Deterministic reduction over the canonical combination order.
 	var best *Plan
 	var bestEv Evaluation
-	reduce := func() error {
-		best, bestEv = nil, Evaluation{}
-		for _, r := range results {
-			if r.err != nil {
-				return r.err
-			}
-			if r.plan == nil {
-				continue
-			}
-			if best == nil || r.ev.Objective < bestEv.Objective {
-				best, bestEv = r.plan, *r.ev
-			}
+	for _, r := range results {
+		if r.err != nil {
+			return fail(r.err)
 		}
-		return nil
-	}
-	if err := reduce(); err != nil {
-		return fail(err)
-	}
-	// Warm-start soundness check. If the un-pruned scan matched or beat
-	// the incumbent, every pruned combination is certified strictly worse
-	// than the winner (its lower bound exceeded the incumbent's
-	// objective), so the reduction above is already the cold answer —
-	// including ties, which all sit in the un-pruned set. Otherwise the
-	// incumbent's bar was never met (the inner solvers are ε-grid
-	// heuristics and may score worse than an externally supplied plan):
-	// solve the pruned combinations after all and re-reduce, which is
-	// exactly the cold scan.
-	if best == nil || bestEv.Objective > incObj {
-		var rest []int
-		for idx, p := range pruned {
-			if p {
-				rest = append(rest, idx)
-			}
+		if r.plan == nil {
+			continue
 		}
-		if len(rest) > 0 {
-			var rnext atomic.Int64
-			var rwg sync.WaitGroup
-			rworkers := workers
-			if rworkers > len(rest) {
-				rworkers = len(rest)
-			}
-			for w := 0; w < rworkers; w++ {
-				rwg.Add(1)
-				go func() {
-					defer rwg.Done()
-					for {
-						i := int(rnext.Add(1)) - 1
-						if i >= len(rest) {
-							return
-						}
-						idx := rest[i]
-						plan, ev, err := solveCombo(idx)
-						results[idx] = comboOutcome{plan: plan, ev: ev, err: err}
-					}
-				}()
-			}
-			rwg.Wait()
-			if err := reduce(); err != nil {
-				return fail(err)
-			}
+		if best == nil || r.ev.Objective < bestEv.Objective {
+			best, bestEv = r.plan, *r.ev
 		}
 	}
 	if best == nil {

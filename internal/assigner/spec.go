@@ -119,16 +119,6 @@ type Spec struct {
 	// without a cache; the cache may be shared across specs and
 	// concurrent solves. Timers that don't implement CacheKeyer bypass it.
 	Cache *SolveCache
-	// Incumbent, when non-nil, warm-starts the scan: it is re-evaluated
-	// on this spec's tables and its exact objective is used to prune
-	// (order, micro-batch) combinations whose cheap lower bound proves
-	// they cannot beat it. Pruning never changes the answer — if the
-	// un-pruned scan fails to match the incumbent, the pruned
-	// combinations are solved after all — so the result stays
-	// byte-identical to a cold solve (DESIGN.md §13). An incumbent that
-	// doesn't validate against this spec is ignored. failover projects
-	// the surviving assignment into one via SurvivorIncumbent.
-	Incumbent *Plan
 }
 
 // MaxDeviceTypes bounds the distinct GPU types Validate accepts.
@@ -226,11 +216,6 @@ func (s *Spec) decodeMicroBatch() int {
 	}
 	return mb
 }
-
-// DecodeMicroBatch exposes the decode micro-batch size the planner uses
-// for this spec (Optimization #1): ceil(GlobalBatch / NumDevices).
-// failover uses it to project an incumbent plan onto a reduced cluster.
-func (s *Spec) DecodeMicroBatch() int { return s.decodeMicroBatch() }
 
 // prefillCandidates returns the micro-batch sizes to enumerate.
 func (s *Spec) prefillCandidates() []int {

@@ -724,7 +724,8 @@ func (co *coordinator) shrink(res *Result, lost *rt.DeviceLostError) (*failover.
 }
 
 // grow answers the degraded epoch's restore halt: replan capacity back
-// onto the healed workers' devices, warm-started by the pre-loss plan.
+// onto the healed workers' devices (a full restore re-derives the
+// pre-loss plan).
 // When the healed worker vanished again between the halt and the replan,
 // the degraded epoch continues from the halt watermark instead.
 func (co *coordinator) grow(res *Result, cur *failover.Outcome, halt *rt.RestoreHaltError) (*failover.Outcome, error) {

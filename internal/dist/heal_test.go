@@ -302,7 +302,8 @@ func TestWorkerRejoinHeal(t *testing.T) {
 	if res.RestoreHalt == nil || res.RestoreHalt.Watermark < res.Lost.Watermark {
 		t.Errorf("restore halt %+v must not regress the loss watermark %d", res.RestoreHalt, res.Lost.Watermark)
 	}
-	// The warm-started restore solve returns to exactly the pre-loss plan.
+	// The restore solve, on the full membership again, returns to exactly
+	// the pre-loss plan.
 	if !reflect.DeepEqual(res.RestoredPlan, p) {
 		t.Errorf("restore did not return to the pre-loss plan:\nrestored: %+v\noriginal: %+v", res.RestoredPlan, p)
 	}

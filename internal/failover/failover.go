@@ -264,11 +264,10 @@ func Replan(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTimer,
 // spec and plan are the ORIGINAL pre-loss spec and plan; cur is the epoch
 // serving until the halt (nil: plan on the full cluster). halt sets the
 // direction: a *rt.DeviceLostError shrinks, a *rt.RestoreHaltError
-// restores. The solve warm-starts from the nearest known plan — a shrink
-// from the survivors' projection of the serving plan, a full restore from
-// the pre-loss plan (feasible again, so the fleet returns to it or
-// improves on it), a partial restore from Spec.Cache alone; all of it is
-// byte-identity-preserving (DESIGN.md §13).
+// restores. The solve is warm only through Spec.Cache: combinations the
+// cache already holds (the pre-loss solve's, an earlier transition's)
+// are reused, and the plan is byte-identical to a cold solve of the same
+// membership (DESIGN.md §13).
 //
 // The outcome is exported through Observe; ctrlReg, when non-nil, also
 // receives the wall-clock solve latency (control registry — never
@@ -309,14 +308,7 @@ func Transition(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTi
 
 	next := *spec
 	next.Cluster = cluster
-	switch {
-	case out.Lost != nil:
-		next.Incumbent = SurvivorIncumbent(from, relativeIDs(oldID, fromID), &next)
-	case len(oldID) == len(spec.Cluster.Devices):
-		next.Incumbent = plan
-	}
 	res, err := assigner.Optimize(&next, timer)
-	next.Incumbent = nil // consumed; keep the outcome's spec self-contained
 	if err != nil {
 		if out.Lost != nil {
 			return nil, &ReplanFailedError{Lost: out.Lost, Survivors: cluster.NumDevices(), Err: err}
@@ -363,66 +355,6 @@ func Transition(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTi
 	return out, nil
 }
 
-// SurvivorIncumbent projects a plan onto the cluster that remains after
-// a device loss, producing the warm-start incumbent for the replan
-// solve: surviving stages keep their device (under the reduced cluster's
-// reindexing via oldID), their layer ranges, and their bitwidths; a lost
-// stage's range is merged into the nearest preceding surviving stage
-// (or the first survivor, for leading losses). The decode micro-batch is
-// recomputed for the reduced device count. The projection is best-effort
-// — Optimize independently validates and re-scores it, ignoring it when
-// unusable — and returns nil when no stage survives.
-func SurvivorIncumbent(plan *assigner.Plan, oldID []int, degraded *assigner.Spec) *assigner.Plan {
-	if plan == nil {
-		return nil
-	}
-	n := plan.NumStages()
-	inv := make([]int, n)
-	for i := range inv {
-		inv[i] = -1
-	}
-	for newIdx, old := range oldID {
-		if old >= 0 && old < n {
-			inv[old] = newIdx
-		}
-	}
-	var order, counts []int
-	lead := 0
-	for j := 0; j < n; j++ {
-		k := plan.Boundaries[j+1] - plan.Boundaries[j]
-		nd := -1
-		if d := plan.Order[j]; d >= 0 && d < n {
-			nd = inv[d]
-		}
-		if nd < 0 {
-			if len(counts) > 0 {
-				counts[len(counts)-1] += k
-			} else {
-				lead += k
-			}
-			continue
-		}
-		order = append(order, nd)
-		counts = append(counts, k)
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	counts[0] += lead
-	inc := &assigner.Plan{
-		Order:      order,
-		Boundaries: make([]int, len(order)+1),
-		GroupBits:  append([]int(nil), plan.GroupBits...),
-		Group:      plan.Group,
-		PrefillMB:  plan.PrefillMB,
-		DecodeMB:   degraded.DecodeMicroBatch(),
-	}
-	for j, k := range counts {
-		inc.Boundaries[j+1] = inc.Boundaries[j] + k
-	}
-	return inc
-}
-
 // nameDevices fills LostDevice/LostDevices (a shrink: the lost device
 // first, then every other member that left, in ID order) or
 // RestoredDevices (a restore: every member that returned) from the
@@ -448,17 +380,6 @@ func (o *Outcome) nameDevices(c hardware.Cluster, fromID, oldID []int) error {
 		}
 	}
 	return nil
-}
-
-// relativeIDs re-expresses oldID (new index → original ID) against the
-// membership fromID (index → original ID) the serving plan indexes: new
-// index → index in the serving cluster, or -1 for a device it lacks.
-func relativeIDs(oldID, fromID []int) []int {
-	rel := make([]int, len(oldID))
-	for i, id := range oldID {
-		rel[i] = slices.Index(fromID, id)
-	}
-	return rel
 }
 
 // direction names the metric families and the span one transition

@@ -64,7 +64,7 @@ func TestFailoverHealRestoresCapacity(t *testing.T) {
 		t.Fatalf("restore halt %+v must not regress the loss watermark %d", rep.RestoreHalt, rep.Lost.Watermark)
 	}
 	// The restored plan serves the ORIGINAL cluster again — and because
-	// the pre-loss plan warm-starts the restore solve, the fleet replans
+	// the solve is deterministic in the membership, the fleet replans
 	// back to exactly the plan it ran before the loss.
 	if err := rep.RestoredPlan.Validate(spec); err != nil {
 		t.Errorf("restored plan invalid on the original spec: %v", err)

@@ -1,85 +1,17 @@
 package failover
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/assigner"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 )
-
-// incumbentSpec only exists to give SurvivorIncumbent a decode
-// micro-batch to recompute; the plan projections below are handcrafted.
-func incumbentSpec(devices int) *assigner.Spec {
-	s := edgeSpec(3.0, 3.0)
-	for len(s.Cluster.Devices) > devices {
-		s.Cluster.Devices = s.Cluster.Devices[:len(s.Cluster.Devices)-1]
-	}
-	return s
-}
-
-// TestSurvivorIncumbentProjections pins the merge rules: a lost middle
-// stage folds into the preceding survivor, a lost leading stage folds
-// into the first survivor, and losing everything projects to nil.
-func TestSurvivorIncumbentProjections(t *testing.T) {
-	plan := &assigner.Plan{
-		Order:      []int{0, 1, 2},
-		Boundaries: []int{0, 2, 5, 8},
-		GroupBits:  []int{8, 8, 4, 4, 4, 16, 16, 16},
-		Group:      1, PrefillMB: 2, DecodeMB: 3,
-	}
-	degraded := incumbentSpec(1)
-
-	t.Run("middle-loss", func(t *testing.T) {
-		// Device 1 died; survivors old 0 -> new 0, old 2 -> new 1.
-		inc := SurvivorIncumbent(plan, []int{0, 2}, degraded)
-		if inc == nil {
-			t.Fatal("two survivors projected to nil")
-		}
-		if !reflect.DeepEqual(inc.Order, []int{0, 1}) {
-			t.Errorf("order %v, want [0 1]", inc.Order)
-		}
-		// Stage 1's groups [2,5) merge into the preceding survivor.
-		if !reflect.DeepEqual(inc.Boundaries, []int{0, 5, 8}) {
-			t.Errorf("boundaries %v, want [0 5 8]", inc.Boundaries)
-		}
-		if !reflect.DeepEqual(inc.GroupBits, plan.GroupBits) {
-			t.Errorf("group bits %v changed in projection", inc.GroupBits)
-		}
-		if inc.PrefillMB != plan.PrefillMB {
-			t.Errorf("prefill micro-batch %d, want %d", inc.PrefillMB, plan.PrefillMB)
-		}
-		if want := degraded.DecodeMicroBatch(); inc.DecodeMB != want {
-			t.Errorf("decode micro-batch %d, want recomputed %d", inc.DecodeMB, want)
-		}
-	})
-	t.Run("leading-loss", func(t *testing.T) {
-		// Device 0 died; its leading groups [0,2) fold into the first
-		// survivor.
-		inc := SurvivorIncumbent(plan, []int{1, 2}, degraded)
-		if inc == nil {
-			t.Fatal("two survivors projected to nil")
-		}
-		if !reflect.DeepEqual(inc.Order, []int{0, 1}) {
-			t.Errorf("order %v, want [0 1]", inc.Order)
-		}
-		if !reflect.DeepEqual(inc.Boundaries, []int{0, 5, 8}) {
-			t.Errorf("boundaries %v, want [0 5 8]", inc.Boundaries)
-		}
-	})
-	t.Run("no-survivors", func(t *testing.T) {
-		if inc := SurvivorIncumbent(plan, nil, degraded); inc != nil {
-			t.Errorf("no survivors must project to nil, got %+v", inc)
-		}
-	})
-	t.Run("nil-plan", func(t *testing.T) {
-		if inc := SurvivorIncumbent(nil, []int{0}, degraded); inc != nil {
-			t.Errorf("nil plan must project to nil, got %+v", inc)
-		}
-	})
-}
 
 // TestReplanWarmMatchesCold: the same device loss healed through a
 // seeded SolveCache and a cold spec must produce identical outcomes, and
@@ -134,14 +66,101 @@ func TestReplanWarmMatchesCold(t *testing.T) {
 	if got := reg.Counter("llmpq_solver_cache_hits_total").Value(); got < 1 {
 		t.Errorf("replan exported %v cache hits to the sim registry, want >= 1", got)
 	}
-	// The incumbent is consumed, not retained: the outcome's spec must be
-	// reusable without warm-start state.
-	if warmOut.Degraded.Incumbent != nil {
-		t.Error("degraded spec retains the incumbent after the replan")
-	}
 	// Wall-clock replan latency lands on the control registry only.
 	if got := ctrl.Histogram("llmpq_failover_replan_seconds", obs.TimeBuckets()).Count(); got != 1 {
 		t.Errorf("replan latency histogram observed %d times on ctrl registry, want 1", got)
+	}
+}
+
+// TestWarmTransitionsMatchColdOnBenchClusters is the warm-equals-cold
+// invariant on the plan-failover benchmark's own specs (Table-3 clusters
+// 3–8 under DefaultWork): with a cache seeded by the cold pre-loss solve,
+// every single-device-loss shrink and the full restore that follows it
+// must deep-equal a cold, cacheless Optimize on the same membership — or
+// both must be infeasible — at parallelism 1, 4 and 8. The restore must
+// return the pre-loss plan.
+func TestWarmTransitionsMatchColdOnBenchClusters(t *testing.T) {
+	pars := []int{1, 4, 8}
+	for _, id := range []int{3, 4, 5, 6, 7, 8} {
+		base, err := experiments.SpecFor(id, experiments.DefaultWork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cold references, one per membership: plans are independent of
+		// parallelism, so each is solved once.
+		fullCold, err := assigner.Optimize(base, nil)
+		if err != nil {
+			t.Fatalf("cluster %d: cold solve: %v", id, err)
+		}
+		n := len(base.Cluster.Devices)
+		shrinkCold := make([]*assigner.Result, n)
+		shrinkErr := make([]error, n)
+		for dev := 0; dev < n; dev++ {
+			cold := *base
+			if cold.Cluster, _, err = subCluster(base.Cluster, Members(base.Cluster, dev)); err != nil {
+				t.Fatal(err)
+			}
+			shrinkCold[dev], shrinkErr[dev] = assigner.Optimize(&cold, nil)
+		}
+
+		for _, par := range pars {
+			spec := *base
+			spec.Parallelism = par
+			spec.Cache = assigner.NewSolveCache()
+			res, err := assigner.Optimize(&spec, nil)
+			if err != nil {
+				t.Fatalf("cluster %d par %d: seeding solve: %v", id, par, err)
+			}
+			if !reflect.DeepEqual(res.Plan, fullCold.Plan) {
+				t.Fatalf("cluster %d par %d: seeding solve differs from the cold solve", id, par)
+			}
+			w := spec.Work.Generate / 2
+			for dev := 0; dev < n; dev++ {
+				lost := &rt.DeviceLostError{
+					Stage: slices.Index(res.Plan.Order, dev), Device: dev, AtSec: 1,
+					Watermark: w, DurableTokens: w * spec.Work.GlobalBatch, PrefillDone: true,
+				}
+				out, werr := Transition(&spec, res.Plan, nil, nil, Members(spec.Cluster, dev), lost, nil, nil, nil)
+				if (werr == nil) != (shrinkErr[dev] == nil) {
+					t.Fatalf("cluster %d par %d loss of %d: warm err %v, cold err %v", id, par, dev, werr, shrinkErr[dev])
+				}
+				if werr != nil {
+					continue
+				}
+				checkWarmOutcome(t, out, shrinkCold[dev], fmt.Sprintf("cluster %d par %d loss of %d", id, par, dev))
+
+				halt := &rt.RestoreHaltError{AtSec: 2, Watermark: w + 1, DurableTokens: (w + 1) * spec.Work.GlobalBatch, PrefillDone: true}
+				rout, err := Transition(&spec, res.Plan, nil, out, Members(spec.Cluster), halt, nil, nil, nil)
+				if err != nil {
+					t.Fatalf("cluster %d par %d restore of %d: %v", id, par, dev, err)
+				}
+				checkWarmOutcome(t, rout, fullCold, fmt.Sprintf("cluster %d par %d restore of %d", id, par, dev))
+				if !reflect.DeepEqual(rout.Plan, res.Plan) {
+					t.Errorf("cluster %d par %d restore of %d: did not return to the pre-loss plan", id, par, dev)
+				}
+			}
+		}
+	}
+}
+
+// checkWarmOutcome asserts a transition's plan, and its evaluation on the
+// outcome's own spec, deep-equal a cold solve's.
+func checkWarmOutcome(t *testing.T, out *Outcome, cold *assigner.Result, what string) {
+	t.Helper()
+	if !reflect.DeepEqual(out.Plan, cold.Plan) {
+		t.Errorf("%s: warm plan diverged from cold:\ncold: %+v\nwarm: %+v", what, cold.Plan, out.Plan)
+		return
+	}
+	tables, err := assigner.BuildTables(out.Degraded, assigner.ProfilerTimer{}, out.Plan.PrefillMB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := assigner.Evaluate(tables, out.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ev, cold.Eval) {
+		t.Errorf("%s: warm evaluation diverged from cold:\ncold: %+v\nwarm: %+v", what, cold.Eval, ev)
 	}
 }
 

@@ -99,8 +99,8 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	window := openConfig().Model.MaxPosEmb
 	bad := []struct {
-		name            string
-		prompt, maxNew  int
+		name           string
+		prompt, maxNew int
 	}{
 		{"zero prompt", 0, 8},
 		{"negative prompt", -3, 8},

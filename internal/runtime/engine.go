@@ -137,8 +137,6 @@ type Stats struct {
 	// LostTasks counts in-flight tasks killed by crash faults and
 	// re-executed after recovery.
 	LostTasks int
-	// Trace holds per-task execution spans when Engine.Trace is set.
-	Trace []TaskSpan
 }
 
 // Engine simulates plan execution on a cluster.
@@ -185,9 +183,6 @@ type Engine struct {
 	// artifact downstream of it — stays byte-deterministic). A run that
 	// finishes first ignores it.
 	RestoreAtSec float64
-	// Trace records per-task execution spans into Stats.Trace (render with
-	// RenderGantt).
-	Trace bool
 	// Obs, when non-nil, receives engine metrics: per-stage busy/idle/comm
 	// histograms, KV reservation gauges, OOM/task counters, and the
 	// llmpq_chaos_* fault families (DESIGN.md §8, §10). Nil keeps the hot
@@ -196,7 +191,8 @@ type Engine struct {
 	Obs *obs.Registry
 	// Spans, when non-nil, records one simulated-time span per executed
 	// task and inter-stage transfer; export with
-	// (*obs.SpanRecorder).WriteChromeTrace.
+	// (*obs.SpanRecorder).WriteChromeTrace, or draw the task spans with
+	// RenderGantt.
 	Spans *obs.SpanRecorder
 }
 
@@ -308,17 +304,20 @@ func (e *Engine) Run() (Stats, error) {
 	// starts at the resume point so a resumed run reports only the
 	// progress it makes itself.
 	committed := e.StartRound
-	commitRound := func() {
-		if e.OnRoundCommit == nil {
-			return
-		}
+	watermark := func() int {
 		w := rounds[0]
 		for _, r := range rounds[1:] {
 			if r < w {
 				w = r
 			}
 		}
-		if w > committed {
+		return w
+	}
+	commitRound := func() {
+		if e.OnRoundCommit == nil {
+			return
+		}
+		if w := watermark(); w > committed {
 			committed = w
 			e.OnRoundCommit(w, B*w, tokens)
 		}
@@ -451,12 +450,6 @@ func (e *Engine) Run() (Stats, error) {
 				return
 			}
 			end := clk.Now()
-			if e.Trace {
-				stats.Trace = append(stats.Trace, TaskSpan{
-					Stage: j, MB: t.mb, Round: t.round, Prefill: t.prefill,
-					Start: startAt, End: end,
-				})
-			}
 			eo.taskDone(j, t.prefill, end-startAt)
 			recordTaskSpan(e.Spans, j, t, startAt, end)
 			st.lastEnd = end
@@ -588,36 +581,24 @@ func (e *Engine) Run() (Stats, error) {
 	if simErr != nil {
 		return Stats{}, simErr
 	}
-	if lost != nil && !workComplete() {
-		// Permanent device loss with the pipeline incomplete: report the
-		// watermark so the failover controller can resume a degraded plan.
-		lost.PrefillDone = prefillDone == kp
-		if lost.PrefillDone {
-			w := rounds[0]
-			for _, r := range rounds[1:] {
-				if r < w {
-					w = r
-				}
-			}
-			lost.Watermark = w
+	// haltMark is what a halt with the pipeline incomplete reports, so
+	// the failover controller can resume from it: whether prefill
+	// completed, the watermark (0 before prefill completes) and the
+	// tokens durable at it.
+	haltMark := func() (done bool, w, durable int) {
+		if done = prefillDone == kp; done {
+			w = watermark()
 		}
-		lost.DurableTokens = B * lost.Watermark
+		return done, w, B * w
+	}
+	if lost != nil && !workComplete() {
+		// Permanent device loss: resume on a degraded plan.
+		lost.PrefillDone, lost.Watermark, lost.DurableTokens = haltMark()
 		return Stats{}, lost
 	}
 	if restore != nil && !workComplete() {
-		// Voluntary restore halt: report the watermark so the failover
-		// controller can resume on the re-expanded cluster.
-		restore.PrefillDone = prefillDone == kp
-		if restore.PrefillDone {
-			w := rounds[0]
-			for _, r := range rounds[1:] {
-				if r < w {
-					w = r
-				}
-			}
-			restore.Watermark = w
-		}
-		restore.DurableTokens = B * restore.Watermark
+		// Voluntary restore halt: resume on the re-expanded cluster.
+		restore.PrefillDone, restore.Watermark, restore.DurableTokens = haltMark()
 		return Stats{}, restore
 	}
 	if s.Work.Generate > 1 && decodeDone != kd {

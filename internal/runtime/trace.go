@@ -4,30 +4,30 @@ import (
 	"fmt"
 	"math"
 	"strings"
-)
 
-// TaskSpan is one executed task interval, recorded when tracing is on.
-type TaskSpan struct {
-	Stage   int
-	MB      int
-	Round   int
-	Prefill bool
-	Start   float64
-	End     float64
-}
+	"repro/internal/obs"
+)
 
 // RenderGantt draws the per-stage execution timeline as ASCII: 'P' marks
 // prefill work, 'd' decode work, '·' idle. One row per stage, `width`
 // character buckets across the run — the quickest way to SEE pipeline
-// bubbles and stragglers.
-func RenderGantt(spans []TaskSpan, stages int, horizon float64, width int) (string, error) {
+// bubbles and stragglers. spans are what Engine.Spans recorded: the
+// prefill and decode task spans are drawn on their stage's row (TID),
+// and every other span (inter-stage transfers) is skipped.
+func RenderGantt(spans []obs.Span, stages int, horizon float64, width int) (string, error) {
 	if stages <= 0 || width <= 0 {
 		return "", fmt.Errorf("runtime: need stages>0 and width>0")
 	}
+	var tasks []obs.Span
+	for _, s := range spans {
+		if s.Cat == phaseName(true) || s.Cat == phaseName(false) {
+			tasks = append(tasks, s)
+		}
+	}
 	if horizon <= 0 {
-		for _, s := range spans {
-			if s.End > horizon {
-				horizon = s.End
+		for _, s := range tasks {
+			if s.End() > horizon {
+				horizon = s.End()
 			}
 		}
 	}
@@ -38,12 +38,12 @@ func RenderGantt(spans []TaskSpan, stages int, horizon float64, width int) (stri
 	for i := range grid {
 		grid[i] = []rune(strings.Repeat("·", width))
 	}
-	for _, s := range spans {
-		if s.Stage < 0 || s.Stage >= stages {
-			return "", fmt.Errorf("runtime: span stage %d out of range", s.Stage)
+	for _, s := range tasks {
+		if s.TID < 0 || s.TID >= stages {
+			return "", fmt.Errorf("runtime: span stage %d out of range", s.TID)
 		}
 		lo := int(s.Start / horizon * float64(width))
-		hi := int(math.Ceil(s.End / horizon * float64(width)))
+		hi := int(math.Ceil(s.End() / horizon * float64(width)))
 		if hi > width {
 			hi = width
 		}
@@ -51,11 +51,11 @@ func RenderGantt(spans []TaskSpan, stages int, horizon float64, width int) (stri
 			lo = width - 1
 		}
 		ch := 'd'
-		if s.Prefill {
+		if s.Cat == phaseName(true) {
 			ch = 'P'
 		}
 		for x := lo; x < hi; x++ {
-			grid[s.Stage][x] = ch
+			grid[s.TID][x] = ch
 		}
 	}
 	var b strings.Builder
@@ -64,22 +64,4 @@ func RenderGantt(spans []TaskSpan, stages int, horizon float64, width int) (stri
 		fmt.Fprintf(&b, "stage %d |%s|\n", j, string(grid[j]))
 	}
 	return b.String(), nil
-}
-
-// BusyFraction computes per-stage busy time from a trace over a horizon.
-func BusyFraction(spans []TaskSpan, stages int, horizon float64) ([]float64, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("runtime: horizon must be positive")
-	}
-	busy := make([]float64, stages)
-	for _, s := range spans {
-		if s.Stage < 0 || s.Stage >= stages {
-			return nil, fmt.Errorf("runtime: span stage %d out of range", s.Stage)
-		}
-		busy[s.Stage] += s.End - s.Start
-	}
-	for j := range busy {
-		busy[j] /= horizon
-	}
-	return busy, nil
 }

@@ -4,7 +4,27 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// taskSpans runs the engine with a span recorder attached and returns
+// its prefill and decode task spans.
+func taskSpans(t *testing.T, eng *Engine) (Stats, []obs.Span) {
+	t.Helper()
+	eng.Spans = obs.NewSpanRecorder()
+	st, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tasks []obs.Span
+	for _, sp := range eng.Spans.Spans() {
+		if sp.Cat == "prefill" || sp.Cat == "decode" {
+			tasks = append(tasks, sp)
+		}
+	}
+	return st, tasks
+}
 
 func TestTraceRecordsAllTasks(t *testing.T) {
 	s := rtSpec(2.2, 1.4)
@@ -13,27 +33,28 @@ func TestTraceRecordsAllTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Trace = true
-	st, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Trace) == 0 {
+	st, spans := taskSpans(t, eng)
+	if len(spans) == 0 {
 		t.Fatal("no trace recorded")
 	}
 	// Every span is well-formed and within the run.
 	kp := (s.Work.GlobalBatch + p.PrefillMB - 1) / p.PrefillMB
 	kd := (s.Work.GlobalBatch + p.DecodeMB - 1) / p.DecodeMB
 	wantTasks := p.NumStages() * (kp + kd*(s.Work.Generate-1))
-	if len(st.Trace) != wantTasks {
-		t.Errorf("trace has %d spans, want %d", len(st.Trace), wantTasks)
+	if len(spans) != wantTasks {
+		t.Errorf("trace has %d spans, want %d", len(spans), wantTasks)
 	}
 	var prefill, decode int
-	for _, sp := range st.Trace {
-		if sp.Start < 0 || sp.End <= sp.Start || sp.End > st.LatencySec+1e-9 {
+	busy := make([]float64, p.NumStages())
+	for _, sp := range spans {
+		if sp.Start < 0 || sp.Dur <= 0 || sp.End() > st.LatencySec+1e-9 {
 			t.Fatalf("bad span %+v (latency %.4f)", sp, st.LatencySec)
 		}
-		if sp.Prefill {
+		if sp.TID < 0 || sp.TID >= p.NumStages() {
+			t.Fatalf("span %+v names no stage", sp)
+		}
+		busy[sp.TID] += sp.Dur
+		if sp.Cat == "prefill" {
 			prefill++
 		} else {
 			decode++
@@ -43,36 +64,21 @@ func TestTraceRecordsAllTasks(t *testing.T) {
 		t.Error("trace should contain both phases")
 	}
 	// Trace-derived busy time must match the engine's accounting.
-	busy, err := BusyFraction(st.Trace, p.NumStages(), st.LatencySec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for j := range busy {
-		if math.Abs(busy[j]-st.Utilization[j]) > 1e-6 {
-			t.Errorf("stage %d: trace busy %.4f vs engine %.4f", j, busy[j], st.Utilization[j])
+		if got := busy[j] / st.LatencySec; math.Abs(got-st.Utilization[j]) > 1e-6 {
+			t.Errorf("stage %d: trace busy %.4f vs engine %.4f", j, got, st.Utilization[j])
 		}
 	}
 }
 
-func TestNoTraceByDefault(t *testing.T) {
-	s := rtSpec(2.2, 1.4)
-	p := planFor(t, s)
-	eng, _ := NewEngine(s, p, nil)
-	st, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Trace) != 0 {
-		t.Error("trace recorded without Trace flag")
-	}
-}
-
 func TestRenderGantt(t *testing.T) {
-	spans := []TaskSpan{
-		{Stage: 0, Prefill: true, Start: 0, End: 1},
-		{Stage: 1, Prefill: true, Start: 1, End: 2},
-		{Stage: 0, Start: 2, End: 3},
-		{Stage: 1, Start: 3, End: 4},
+	spans := []obs.Span{
+		{Name: "prefill", Cat: "prefill", TID: 0, Start: 0, Dur: 1},
+		{Name: "prefill", Cat: "prefill", TID: 1, Start: 1, Dur: 1},
+		{Name: "decode", Cat: "decode", TID: 0, Start: 2, Dur: 1},
+		{Name: "decode", Cat: "decode", TID: 1, Start: 3, Dur: 1},
+		// A transfer is not stage work: it must not fill stage 0's idle cells.
+		{Name: "send", Cat: "comm", TID: 0, Start: 1, Dur: 1},
 	}
 	out, err := RenderGantt(spans, 2, 4, 8)
 	if err != nil {
@@ -88,10 +94,13 @@ func TestRenderGantt(t *testing.T) {
 	if !strings.Contains(lines[1], "·") {
 		t.Errorf("stage 0 row should show idle cells: %q", lines[1])
 	}
+	if want := "stage 0 |PP··dd··|"; lines[1] != want {
+		t.Errorf("stage 0 row %q, want %q", lines[1], want)
+	}
 	if _, err := RenderGantt(spans, 0, 4, 8); err == nil {
 		t.Error("expected stages error")
 	}
-	if _, err := RenderGantt([]TaskSpan{{Stage: 5, End: 1}}, 2, 4, 8); err == nil {
+	if _, err := RenderGantt([]obs.Span{{Cat: "decode", TID: 5, Dur: 1}}, 2, 4, 8); err == nil {
 		t.Error("expected out-of-range span error")
 	}
 	if _, err := RenderGantt(nil, 2, 0, 8); err == nil {
@@ -103,12 +112,8 @@ func TestGanttFromRealRun(t *testing.T) {
 	s := rtSpec(2.2, 1.4)
 	p := planFor(t, s)
 	eng, _ := NewEngine(s, p, nil)
-	eng.Trace = true
-	st, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := RenderGantt(st.Trace, p.NumStages(), st.LatencySec, 60)
+	st, spans := taskSpans(t, eng)
+	out, err := RenderGantt(spans, p.NumStages(), st.LatencySec, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

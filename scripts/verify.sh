@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 
 echo "== build =="
 go build ./...
+echo "== gofmt =="; test -z "$(gofmt -l .)"
 echo "== go vet =="
 go vet ./...
 echo "== llmpq-vet (domain analyzers + SARIF smoke) =="
