@@ -81,7 +81,7 @@ func main() {
 		// worker flags its hellos as heal-capable rejoins.
 		rejoin    = flag.Bool("rejoin", false, "coordinator: re-admit a lost worker that rejoins mid-run and replan capacity back; worker: present the name as a heal-capable rejoin after a restart")
 		healDwell = flag.Duration("heal-dwell", 0, "how long a rejoined worker's lease must hold before the capacity-restoring replan fires (0 = the lease)")
-		flapTol   = flag.Int("flap-tolerance", 0, "lease losses per worker before it is quarantined instead of healed (0 = default 2)")
+		flapTol   = flag.Int("flap-tolerance", 0, "lease losses tolerated per worker; the next one quarantines it instead of healing it (0 = default 2)")
 
 		// Worker role.
 		connect   = flag.String("connect", "127.0.0.1:9380", "coordinator address to join")

@@ -124,8 +124,8 @@ type Fault struct {
 	RecoverAfterSec float64
 	// Flaps is the number of extra loss/rejoin cycles the healed device
 	// goes through before its lease finally stabilizes (KindCrash with
-	// RecoverAfterSec). Flap damping quarantines devices that exceed
-	// the controller's tolerance.
+	// RecoverAfterSec): it is lost 1+Flaps times, and flap damping
+	// quarantines it past the tolerance (failover.Quarantined).
 	Flaps int
 	// Factor is the slowdown multiplier (>= 1) for KindStraggler and
 	// KindSlowLink, or the failure probability in (0, 1] for KindKVAlloc.

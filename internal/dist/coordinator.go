@@ -53,21 +53,19 @@ type Config struct {
 	// JoinTimeout bounds the initial membership barrier. Default 30s.
 	JoinTimeout time.Duration
 
-	// Rejoin opens the heal half of the membership state machine: a LOST
-	// worker (or a freshly restarted process presenting its name with the
-	// Hello rejoin flag) may re-admit mid-run — LOST → REJOINING — and,
-	// once its lease has held for HealDwell, the coordinator voluntarily
-	// halts the degraded run and replans capacity back onto the returned
-	// devices. Off (the default), the membership stays closed after loss:
-	// the pre-heal fence.
+	// Rejoin opens the heal half of the membership state machine
+	// (membership.go): a lost worker may re-admit mid-run and, once its
+	// lease has held for HealDwell, the coordinator halts the degraded run
+	// and replans capacity back onto the returned devices. Off (the
+	// default), the membership stays closed after loss.
 	Rejoin bool
 	// HealDwell is how long a rejoined worker's lease must hold before
 	// the capacity-restoring replan fires — flap damping's first line.
 	// Default: Lease.
 	HealDwell time.Duration
-	// FlapTolerance caps total loss events per worker: a worker losing
-	// its lease more than this many times is quarantined (its rejoins are
-	// fatally rejected and it is never replanned back in). Default 2.
+	// FlapTolerance is how many lease losses a worker may take; the next
+	// one quarantines it for the run (failover.Quarantined). Default
+	// failover.DefaultFlapTolerance.
 	FlapTolerance int
 
 	// JournalDir, when non-empty, makes the coordinator durable: every
@@ -137,7 +135,7 @@ func (c *Config) withDefaults() Config {
 		out.HealDwell = out.Lease
 	}
 	if out.FlapTolerance <= 0 {
-		out.FlapTolerance = 2
+		out.FlapTolerance = failover.DefaultFlapTolerance
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -170,64 +168,60 @@ var errConnClosed = errors.New("dist: connection closed mid-request")
 // fires with a nil Die hook: the in-process stand-in for a SIGKILL.
 var ErrInjectedCoordCrash = errors.New("dist: injected coordinator crash")
 
-// memberState tracks one worker through the lease state machine:
-// joining (hello seen) → active (conn up) ⇄ detached (conn down, lease
-// running) → lost (lease expired). LOST is terminal unless the
-// coordinator runs with Config.Rejoin, which adds the heal transitions
-// LOST → rejoining → active (DESIGN.md §15); a worker that keeps
-// flapping past Config.FlapTolerance lands in quarantined, which IS
-// terminal.
+// member is one worker: its membership state (membership.go) and the
+// connection and channels the coordinator drives from it.
 type member struct {
-	name  string
-	token string
+	name string
 
-	mu        sync.Mutex
-	conn      *wire
-	lastHeard time.Time
-	lost      bool
-	// proven is set once a hello echoed the member's token: the worker
-	// demonstrably received its welcome. Until then a token-less retry
-	// of the same name is treated as the same worker whose welcome was
-	// lost in flight (the token is rotated and re-issued); after, the
-	// token is the only key that opens the name.
-	proven     bool
+	mu         sync.Mutex
+	st         state
+	conn       *wire
 	reattached chan struct{} // replaced on detach, closed on attach
 	lostCh     chan struct{} // closed on lease expiry, replaced on rejoin
-	// rejoining marks a healed worker not yet replanned back in; it
-	// serves no stage until the restore replan promotes it. rejoinedAt
-	// starts the heal dwell.
-	rejoining  bool
-	rejoinedAt time.Time
-	// flaps counts lease losses; past the tolerance the worker is
-	// quarantined and its rejoins fence out fatally.
-	flaps       int
-	quarantined bool
 }
 
-func (m *member) touch() {
-	m.mu.Lock()
-	m.lastHeard = time.Now()
-	m.mu.Unlock()
+func newMember(name string, st state) *member {
+	m := &member{name: name, lostCh: make(chan struct{})}
+	m.set(st)
+	return m
 }
 
-func (m *member) setProven() {
-	m.mu.Lock()
-	m.proven = true
-	m.mu.Unlock()
+// set installs the next state; m.mu held. Crossing the lease boundary
+// drops the connection (on a rejoin, one that attached after the verdict)
+// and closes or replaces the lease channel. It reports a taken lease.
+func (m *member) set(next state) bool {
+	was, is := m.st.phase >= lost, next.phase >= lost
+	m.st = next
+	if was != is && m.conn != nil {
+		m.conn.close()
+		m.conn = nil
+	}
+	switch {
+	case was && !is:
+		m.lostCh = make(chan struct{}) // never re-close a closed channel
+	case is && !was:
+		close(m.lostCh)
+	}
+	return is && !was
 }
 
-// currentToken reads the token under the lock — rotation mutates it.
-func (m *member) currentToken() string {
+// apply steps the member through a non-hello event under its lock and
+// reports whether the step took the lease.
+func (m *member) apply(ev event, cfg *Config) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.token
+	next, _ := step(m.st, ev, cfg)
+	return m.set(next)
 }
+
+// markLost delivers the lease verdict; false when already lost.
+func (m *member) markLost() bool { return m.apply(event{kind: evExpire}, nil) }
 
 func (m *member) attach(w *wire) {
 	m.mu.Lock()
 	old := m.conn
 	m.conn = w
-	m.lastHeard = time.Now()
+	m.st, _ = step(m.st, event{kind: evConnUp, now: time.Now()}, nil)
 	if m.reattached != nil {
 		close(m.reattached)
 		m.reattached = nil
@@ -245,41 +239,10 @@ func (m *member) detachIf(w *wire) {
 	if m.conn == w {
 		m.conn = nil
 		m.reattached = make(chan struct{})
+		m.st, _ = step(m.st, event{kind: evConnDown}, nil)
 	}
 	m.mu.Unlock()
 	w.close()
-}
-
-// markLost transitions to lost; idempotent. Each loss counts one flap —
-// a rejoining worker that goes silent again burns tolerance budget.
-func (m *member) markLost() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lost {
-		return false
-	}
-	m.lost = true
-	m.rejoining = false
-	m.flaps++
-	if m.conn != nil {
-		m.conn.close()
-		m.conn = nil
-	}
-	close(m.lostCh)
-	return true
-}
-
-// rejoin performs the LOST → REJOINING transition under the lock: the
-// lease channel is replaced (never re-close a closed channel) and the
-// heal dwell starts now. Caller has already decided admission.
-func (m *member) rejoin() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lost = false
-	m.lostCh = make(chan struct{})
-	m.rejoining = true
-	m.rejoinedAt = time.Now()
-	m.lastHeard = time.Now()
 }
 
 // awaitConn returns the member's live connection, waiting through a
@@ -287,7 +250,7 @@ func (m *member) rejoin() {
 func (m *member) awaitConn(ctx context.Context) (*wire, error) {
 	for {
 		m.mu.Lock()
-		if m.lost {
+		if m.st.phase >= lost {
 			m.mu.Unlock()
 			return nil, errMemberLost
 		}
@@ -406,7 +369,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	if err := co.awaitMembership(); err != nil {
 		return nil, err
 	}
-	live := co.liveMembers()
+	live := co.membersWhere(state.serving)
 	if len(live) == 0 {
 		return nil, fmt.Errorf("dist: no live workers after the membership barrier")
 	}
@@ -521,20 +484,19 @@ func (co *coordinator) seedRecovered(st *RecoveredState) error {
 	// reattaches under its rotated token like any survivor. (Flap counts
 	// are not journaled — the tolerance budget resets with the coordinator
 	// process.)
-	lost := map[string]bool{}
+	gone := map[string]bool{}
 	for _, pr := range st.Plans[1:] {
 		for _, name := range pr.Transition.Workers {
-			lost[name] = pr.Transition.Lost != nil
+			gone[name] = pr.Transition.Lost != nil
 		}
 	}
+	now := time.Now()
 	for _, mr := range st.Members {
-		m := &member{name: mr.Name, token: mr.Token, proven: true, lostCh: make(chan struct{})}
-		m.lastHeard = time.Now()
-		if lost[mr.Name] {
-			m.lost = true
-			close(m.lostCh)
+		s := state{phase: detached, token: mr.Token, ord: mr.Ord, lastHeard: now}
+		if gone[mr.Name] {
+			s.phase = lost
 		}
-		co.members[mr.Name] = m
+		co.members[mr.Name] = newMember(mr.Name, s)
 		if mr.Ord > co.tokens {
 			co.tokens = mr.Ord
 		}
@@ -575,8 +537,8 @@ func (co *coordinator) awaitMembership() error {
 	case <-co.joined:
 		return nil
 	case <-joinTimer.C:
-		if co.recovered != nil && co.attachedCount() >= 1 {
-			for _, m := range co.membersWhere(absent) {
+		if co.recovered != nil && len(co.membersWhere(state.attached)) >= 1 {
+			for _, m := range co.membersWhere(state.absent) {
 				if m.markLost() {
 					co.ctrlInc("llmpq_dist_lease_expiries_total")
 					co.cfg.Logf("worker %s did not reattach within %s; declared lost", m.name, co.cfg.JoinTimeout)
@@ -587,7 +549,7 @@ func (co *coordinator) awaitMembership() error {
 			return nil
 		}
 		return fmt.Errorf("dist: only %d of %d workers joined within %s",
-			co.attachedCount(), co.cfg.Workers, co.cfg.JoinTimeout)
+			len(co.membersWhere(state.attached)), co.cfg.Workers, co.cfg.JoinTimeout)
 	case <-co.ctx.Done():
 		return co.ctx.Err()
 	}
@@ -756,7 +718,8 @@ func (co *coordinator) grow(res *Result, cur *failover.Outcome, halt *rt.Restore
 // then complete their join barrier — the new plan is what admits them
 // back to serving — and the other serving members follow.
 func (co *coordinator) adopt(out *failover.Outcome, workers []string, healed []*member) error {
-	serving := append(co.liveMembers(), healed...)
+	others := co.membersWhere(state.serving)
+	serving := slices.Concat(others, healed)
 	sort.Slice(serving, func(i, j int) bool { return serving[i].name < serving[j].name })
 	if len(serving) == 0 {
 		return fmt.Errorf("dist: no surviving workers to resume on")
@@ -780,21 +743,11 @@ func (co *coordinator) adopt(out *failover.Outcome, workers []string, healed []*
 			return err
 		}
 	}
-	for _, m := range healed {
-		if err := co.reconfigure(m, payload); err != nil {
-			return fmt.Errorf("dist: reconfigure healed %s: %w", m.name, err)
-		}
-		m.mu.Lock()
-		m.rejoining = false
-		m.mu.Unlock()
-	}
-	for _, m := range serving {
-		if slices.Contains(healed, m) {
-			continue
-		}
+	for _, m := range slices.Concat(healed, others) {
 		if err := co.reconfigure(m, payload); err != nil {
 			return fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
 		}
+		m.apply(event{kind: evPromote}, nil) // a no-op for the others
 	}
 	co.assignStages(out.Plan, serving)
 	co.setWorkersGauge(len(serving))
@@ -931,24 +884,17 @@ func (co *coordinator) stageTime(stage, batch, round int, prefill bool) (float64
 			// Conn is up but the worker went mute; force a reconnect and
 			// charge a deadline strike.
 			m.detachIf(w)
-			co.ctrlInc("llmpq_dist_deadline_aborts_total")
-			aborts++
-			if aborts > co.cfg.DeadlineRetries {
-				return 0, fmt.Errorf("dist: stage %d task exceeded its %s deadline %d times", stage, co.cfg.RoundDeadline, aborts)
-			}
-			continue
 		case err != nil:
 			return 0, err
 		}
-		res := msg.StageTimeResult
-		if res.Aborted {
+		if err != nil || msg.StageTimeResult.Aborted {
 			co.ctrlInc("llmpq_dist_deadline_aborts_total")
-			aborts++
-			if aborts > co.cfg.DeadlineRetries {
+			if aborts++; aborts > co.cfg.DeadlineRetries {
 				return 0, fmt.Errorf("dist: stage %d task exceeded its %s deadline %d times", stage, co.cfg.RoundDeadline, aborts)
 			}
 			continue
 		}
+		res := msg.StageTimeResult
 		if res.Err != "" {
 			return 0, fmt.Errorf("dist: worker %s stage %d: %s", m.name, stage, res.Err)
 		}
@@ -1094,9 +1040,12 @@ func (co *coordinator) handleConn(c net.Conn) {
 		w.close()
 		return
 	}
+	token := h.Token // admitted by its own token unless one was minted
+	if rec != nil {
+		token = rec.Token
+	}
 	co.mu.Lock()
 	payload := co.payload
-	token := m.currentToken()
 	co.mu.Unlock()
 	welcome := &Welcome{
 		Token:        token,
@@ -1130,10 +1079,9 @@ func (co *coordinator) handleConn(c net.Conn) {
 			co.cfg.Logf("worker %s detached: %v", m.name, err)
 			return
 		}
-		// Any post-welcome frame proves the worker proceeded past the
-		// handshake — from here the token is the only key to the name.
-		m.touch()
-		m.setProven()
+		// Any frame after the welcome renews the lease and proves the worker
+		// got past the handshake: from here the token is the only key.
+		m.apply(event{kind: evFrame, now: time.Now()}, nil)
 		switch msg.Type {
 		case MsgHeartbeat:
 			co.ctrlInc("llmpq_dist_heartbeats_received_total")
@@ -1149,127 +1097,40 @@ func (co *coordinator) handleConn(c net.Conn) {
 	}
 }
 
-// admit resolves a hello into a member plus, when a token was minted or
-// rotated, the MemberRecord to journal once the welcome is delivered; or
-// into a rejection (retryable for transient mid-handshake collisions).
-// Under Config.Rejoin a LOST name may heal back in — see admitRejoin —
-// while stale tokens and quarantined flappers stay fenced out.
+// admit applies step's verdict on a hello: the member plus, when a token
+// was minted, the MemberRecord to journal once the welcome is delivered;
+// or a rejection and whether it is retryable.
 func (co *coordinator) admit(h *Hello) (*member, *MemberRecord, string, bool) {
-	if h.Name == "" {
-		return nil, nil, "worker name must not be empty", false
-	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if m, ok := co.members[h.Name]; ok {
-		m.mu.Lock()
-		lost, proven, attached := m.lost, m.proven, m.conn != nil
-		tokenOK := h.Token != "" && m.token == h.Token
-		if tokenOK {
-			m.proven = true
-		}
-		m.mu.Unlock()
-		if lost {
-			if co.cfg.Rejoin {
-				return co.admitRejoin(h, m, tokenOK)
-			}
-			return nil, nil, fmt.Sprintf("worker %q lease expired; membership is closed", h.Name), false
-		}
-		if tokenOK {
-			return m, nil, "", false
-		}
-		if h.Token == "" && !proven && !attached {
-			// The worker never demonstrably received its welcome and is
-			// retrying from scratch: same worker, mint lost in flight.
-			// Rotate the token so the journal's latest mint is the live
-			// one and the stale mint can never open the name.
-			co.tokens++
-			m.mu.Lock()
-			m.token = fmt.Sprintf("lease-%d-%s", co.tokens, h.Name)
-			tok := m.token
-			m.mu.Unlock()
-			return m, &MemberRecord{Name: h.Name, Token: tok, Ord: co.tokens}, "", false
-		}
-		if h.Token == "" && !proven && attached {
-			// Another handshake for this name is in flight on a live
-			// connection; retry once it either proves itself (heartbeat)
-			// or dies (rotation path above).
-			return nil, nil, fmt.Sprintf("worker name %q is mid-handshake", h.Name), true
-		}
-		if co.cfg.Rejoin && h.Rejoin {
-			// A heal-capable restart raced the lease: the old incarnation is
-			// dead (or dying) but the sweeper has not yet declared it — the
-			// restart may even beat the coordinator noticing the severed
-			// connection. Back off until the lease verdict opens the rejoin
-			// door; an actual live holder keeps the name (the squatter's
-			// retries run out against a healthy lease).
-			return nil, nil, fmt.Sprintf("worker %q lease is still live; retry after expiry", h.Name), true
-		}
-		return nil, nil, fmt.Sprintf("worker name %q is taken", h.Name), false
+	m := co.members[h.Name]
+	if m == nil {
+		m = newMember(h.Name, state{})
 	}
-	if h.Token != "" {
-		return nil, nil, "unknown rejoin token", false
-	}
-	if len(co.members) >= co.cfg.Workers {
-		return nil, nil, fmt.Sprintf("cluster is full (%d workers)", co.cfg.Workers), false
-	}
-	co.tokens++
-	m := &member{
-		name:   h.Name,
-		token:  fmt.Sprintf("lease-%d-%s", co.tokens, h.Name),
-		lostCh: make(chan struct{}),
-	}
-	m.lastHeard = time.Now()
-	co.members[h.Name] = m
-	return m, &MemberRecord{Name: h.Name, Token: m.token, Ord: co.tokens}, "", false
-}
-
-// admitRejoin is the heal half of admit (Config.Rejoin; co.mu held):
-// decide whether a hello for a LOST name re-opens it. Two doors in —
-// the member's own current token (a surviving process back from a long
-// partition) or a token-less hello carrying the rejoin flag (a
-// restarted process reclaiming its name; the token rotates so the dead
-// incarnation's mint can never open the name again). Stale non-empty
-// tokens stay fatally fenced, un-flagged token-less hellos keep the
-// closed-membership fence, and a flapper past the tolerance is
-// quarantined for the rest of the run.
-func (co *coordinator) admitRejoin(h *Hello, m *member, tokenOK bool) (*member, *MemberRecord, string, bool) {
 	m.mu.Lock()
-	quarantined, flaps := m.quarantined, m.flaps
-	m.mu.Unlock()
-	if quarantined {
-		return nil, nil, fmt.Sprintf("worker %q is quarantined after %d lease losses", h.Name, flaps), false
-	}
-	if !tokenOK && h.Token != "" {
-		// A stale mint (or a squatter guessing): epoch fencing holds even
-		// with the heal door open.
-		return nil, nil, fmt.Sprintf("worker %q presented a stale rejoin token", h.Name), false
-	}
-	if !tokenOK && !h.Rejoin {
-		return nil, nil, fmt.Sprintf("worker %q lease expired; membership is closed", h.Name), false
-	}
-	if flaps > co.cfg.FlapTolerance {
-		m.mu.Lock()
-		m.quarantined = true
-		m.mu.Unlock()
-		co.ctrlInc("llmpq_heal_flap_quarantines_total")
-		co.cfg.Logf("worker %s quarantined: %d lease losses exceed the flap tolerance %d", h.Name, flaps, co.cfg.FlapTolerance)
-		return nil, nil, fmt.Sprintf("worker %q is quarantined after %d lease losses", h.Name, flaps), false
-	}
+	prev := m.st
+	next, v := step(prev, event{kind: evHello, now: time.Now(), hello: h, full: len(co.members) >= co.cfg.Workers}, &co.cfg)
 	var rec *MemberRecord
-	if !tokenOK {
-		// Restarted process: rotate the token so the journal's latest
-		// mint is the live one.
+	if v.mint {
 		co.tokens++
-		m.mu.Lock()
-		m.token = fmt.Sprintf("lease-%d-%s", co.tokens, h.Name)
-		m.proven = false
-		rec = &MemberRecord{Name: h.Name, Token: m.token, Ord: co.tokens}
-		m.mu.Unlock()
+		next.token, next.ord = fmt.Sprintf("lease-%d-%s", co.tokens, h.Name), co.tokens
+		rec = &MemberRecord{Name: h.Name, Token: next.token, Ord: next.ord}
 	}
-	m.rejoin()
-	co.ctrlInc("llmpq_heal_rejoins_total")
-	co.cfg.Logf("worker %s rejoined (loss %d of %d tolerated); heal dwell %s starts",
-		h.Name, flaps, co.cfg.FlapTolerance, co.cfg.HealDwell)
+	m.set(next)
+	m.mu.Unlock()
+	switch {
+	case next.phase == quarantined && prev.phase != quarantined:
+		co.ctrlInc("llmpq_heal_flap_quarantines_total")
+		co.cfg.Logf("worker %s quarantined: %d lease losses exceed the flap tolerance %d", h.Name, next.flaps, co.cfg.FlapTolerance)
+	case prev.phase == lost && next.live():
+		co.ctrlInc("llmpq_heal_rejoins_total")
+		co.cfg.Logf("worker %s rejoined (loss %d of %d tolerated); heal dwell %s starts",
+			h.Name, next.flaps, co.cfg.FlapTolerance, co.cfg.HealDwell)
+	}
+	if v.reason != "" {
+		return nil, nil, v.reason, v.retry
+	}
+	co.members[h.Name] = m
 	return m, rec, "", false
 }
 
@@ -1281,40 +1142,27 @@ func (co *coordinator) maybeJoined() {
 	co.mu.Lock()
 	short := co.recovered == nil && len(co.members) < co.cfg.Workers
 	co.mu.Unlock()
-	if short || len(co.membersWhere(absent)) > 0 {
+	if short || len(co.membersWhere(state.absent)) > 0 {
 		return
 	}
 	co.joinOnce.Do(func() { close(co.joined) })
 }
 
 // membersWhere snapshots the membership and returns, sorted by name, the
-// members keep accepts; keep runs under the member's lock.
-func (co *coordinator) membersWhere(keep func(m *member) bool) []*member {
+// members whose state keep accepts.
+func (co *coordinator) membersWhere(keep func(s state) bool) []*member {
 	co.mu.Lock()
-	all := make([]*member, 0, len(co.members))
+	var out []*member
 	for _, m := range co.members {
-		all = append(all, m)
-	}
-	co.mu.Unlock()
-	out := all[:0]
-	for _, m := range all {
 		m.mu.Lock()
-		ok := keep(m)
-		m.mu.Unlock()
-		if ok {
+		if keep(m.st) {
 			out = append(out, m)
 		}
+		m.mu.Unlock()
 	}
+	co.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// absent reports a not-lost member with no live connection; m.mu held.
-func absent(m *member) bool { return !m.lost && m.conn == nil }
-
-// attachedCount counts not-lost members with a live connection.
-func (co *coordinator) attachedCount() int {
-	return len(co.membersWhere(func(m *member) bool { return !m.lost && m.conn != nil }))
 }
 
 // sweeper expires leases: any member silent past the lease is declared
@@ -1337,8 +1185,8 @@ func (co *coordinator) sweeper() {
 			continue
 		}
 		now := time.Now()
-		for _, m := range co.membersWhere(func(m *member) bool { return !m.lost && now.Sub(m.lastHeard) > co.cfg.Lease }) {
-			if m.markLost() {
+		for _, m := range co.membersWhere(state.live) {
+			if m.apply(event{kind: evLease, now: now}, &co.cfg) {
 				co.ctrlInc("llmpq_dist_lease_expiries_total")
 				co.cfg.Logf("worker %s lease expired (silent > %s)", m.name, co.cfg.Lease)
 			}
@@ -1359,19 +1207,10 @@ func (co *coordinator) assignStages(p *assigner.Plan, members []*member) {
 	co.mu.Unlock()
 }
 
-// liveMembers returns the serving members sorted by name — not lost and
-// not parked in the rejoining dwell (a rejoined worker serves no stage
-// until the restore replan promotes it).
-func (co *coordinator) liveMembers() []*member {
-	return co.membersWhere(func(m *member) bool { return !m.lost && !m.rejoining })
-}
-
-// healedMembers returns rejoined members whose lease has held for the
-// heal dwell — attached, not re-lost, dwell elapsed — sorted by name.
+// healedMembers returns the rejoined members whose lease held for the dwell.
 func (co *coordinator) healedMembers() []*member {
-	return co.membersWhere(func(m *member) bool {
-		return m.rejoining && !m.lost && m.conn != nil && time.Since(m.rejoinedAt) >= co.cfg.HealDwell
-	})
+	now := time.Now()
+	return co.membersWhere(func(s state) bool { return s.healed(now, co.cfg.HealDwell) })
 }
 
 // shutdown says goodbye to every live worker, gives them up to a lease
@@ -1382,7 +1221,7 @@ func (co *coordinator) healedMembers() []*member {
 func (co *coordinator) shutdown(reason string) {
 	defer co.cancel()
 	var told []*wire
-	for _, m := range co.liveMembers() {
+	for _, m := range co.membersWhere(state.serving) {
 		m.mu.Lock()
 		w := m.conn
 		m.mu.Unlock()

@@ -104,25 +104,26 @@ type faultConn struct {
 // elapsedSec is wall time since the listener was armed.
 func (fc *faultConn) elapsedSec() float64 { return time.Since(fc.fl.start).Seconds() }
 
-// partitioned reports whether any matching partition window covers now.
-func (fc *faultConn) partitioned() bool {
+// severed reports the injected fault that cuts the connection now: an
+// earlier conn-drop, or a matching partition window, which severs it.
+func (fc *faultConn) severed() error {
+	if fc.dropped {
+		return fmt.Errorf("dist: connection %d severed by injected conn-drop", fc.ord)
+	}
 	at := fc.elapsedSec()
 	for _, f := range fc.partitions {
 		if at >= f.AtSec && at < f.AtSec+f.DurationSec {
-			return true
+			fc.trip(fc.fl.ctrl, "llmpq_dist_partition_severs_total")
+			_ = fc.Conn.Close() //llmpq:allow(errdrop): fault injection severs the conn on purpose; the injected error below is the signal
+			return fmt.Errorf("dist: connection %d severed by injected partition", fc.ord)
 		}
 	}
-	return false
+	return nil
 }
 
 func (fc *faultConn) Read(p []byte) (int, error) {
-	if fc.dropped {
-		return 0, fmt.Errorf("dist: connection %d severed by injected conn-drop", fc.ord)
-	}
-	if fc.partitioned() {
-		fc.trip(fc.fl.ctrl, "llmpq_dist_partition_severs_total")
-		_ = fc.Conn.Close() //llmpq:allow(errdrop): fault injection severs the conn on purpose; the injected error below is the signal
-		return 0, fmt.Errorf("dist: connection %d severed by injected partition", fc.ord)
+	if err := fc.severed(); err != nil {
+		return 0, err
 	}
 	at := fc.elapsedSec()
 	for _, f := range fc.delays {
@@ -147,13 +148,8 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 }
 
 func (fc *faultConn) Write(p []byte) (int, error) {
-	if fc.dropped {
-		return 0, fmt.Errorf("dist: connection %d severed by injected conn-drop", fc.ord)
-	}
-	if fc.partitioned() {
-		fc.trip(fc.fl.ctrl, "llmpq_dist_partition_severs_total")
-		_ = fc.Conn.Close() //llmpq:allow(errdrop): fault injection severs the conn on purpose; the injected error below is the signal
-		return 0, fmt.Errorf("dist: connection %d severed by injected partition", fc.ord)
+	if err := fc.severed(); err != nil {
+		return 0, err
 	}
 	return fc.Conn.Write(p)
 }

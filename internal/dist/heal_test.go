@@ -108,7 +108,7 @@ func TestRejoinAdmitStateMachine(t *testing.T) {
 		t.Fatalf("rejoin must rotate the token, got %+v", rec2)
 	}
 	m.mu.Lock()
-	rejoining, lost := m.rejoining, m.lost
+	rejoining, lost := !m.st.rejoinedAt.IsZero(), !m.st.live()
 	m.mu.Unlock()
 	if !rejoining || lost {
 		t.Errorf("member should be REJOINING, got rejoining=%v lost=%v", rejoining, lost)
@@ -216,7 +216,7 @@ func TestSeedRecoveredHealResurrects(t *testing.T) {
 		t.Fatal("worker-b missing from the recovered membership")
 	}
 	b.mu.Lock()
-	lost, token := b.lost, b.token
+	lost, token := !b.st.live(), b.st.token
 	b.mu.Unlock()
 	if lost {
 		t.Error("the journaled heal must resurrect worker-b")
@@ -383,7 +383,7 @@ func checkHealJournal(t *testing.T, dir string, s *assigner.Spec, p *assigner.Pl
 		lost := false
 		if m := co.members["worker-b"]; m != nil {
 			m.mu.Lock()
-			lost = m.lost
+			lost = !m.st.live()
 			m.mu.Unlock()
 		}
 		if want := len(pst.Plans) == 2; lost != want {

@@ -391,7 +391,7 @@ func TestAdmitCollisionAndRotation(t *testing.T) {
 	if rej != "" || m3 != m1 || rec3 != nil {
 		t.Fatalf("current token rejected: %q (rec %+v)", rej, rec3)
 	}
-	if !m1.proven {
+	if !m1.st.proven() {
 		t.Fatal("token echo must mark the member proven")
 	}
 

@@ -475,18 +475,22 @@ type Controller struct {
 	// about to flap again never triggers a migrate-back it immediately
 	// invalidates. 0 restores as soon as the device returns.
 	HealDwellSec float64
-	// FlapTolerance caps how many loss/rejoin cycles a healing device may
-	// take before it is quarantined — the run finishes on the degraded
-	// plan and Report.Quarantined is set. 0 means the default of 2.
+	// FlapTolerance is how many losses a healing device may take; the
+	// next one quarantines it (Quarantined): the run finishes degraded and
+	// Report.Quarantined is set. 0 means DefaultFlapTolerance.
 	FlapTolerance int
 }
 
-// flapTolerance resolves the quarantine threshold.
-func (c *Controller) flapTolerance() int {
-	if c.FlapTolerance > 0 {
-		return c.FlapTolerance
+// DefaultFlapTolerance is the flap tolerance when none is configured.
+const DefaultFlapTolerance = 2
+
+// Quarantined is the flap rule the controller and the dist coordinator
+// share: tol losses are tolerated (tol <= 0 means the default), the next is not.
+func Quarantined(losses, tol int) bool {
+	if tol <= 0 {
+		tol = DefaultFlapTolerance
 	}
-	return 2
+	return losses > tol
 }
 
 // healFault returns the schedule's permanent crash when it carries a
@@ -507,7 +511,7 @@ func healFault(sched *chaos.Schedule) *chaos.Fault {
 // Run executes the pipeline under the chaos schedule, self-healing
 // through at most one permanent device loss (chaos.Schedule.Validate
 // enforces the at-most-one invariant). When the schedule heals the loss
-// (Fault.RecoverAfterSec) and the device's flap count stays under
+// (Fault.RecoverAfterSec) and the device's 1+Flaps losses stay within
 // FlapTolerance, the degraded run voluntarily halts once the returned
 // device has held a stable lease for HealDwellSec and a
 // capacity-restoring Transition finishes the job on the re-expanded
@@ -542,7 +546,7 @@ func (c *Controller) replan(sched *chaos.Schedule, lost *rt.DeviceLostError) (Re
 
 	eng := &rt.Engine{Spec: out.Degraded, Plan: out.Plan, Timer: c.Timer, StartRound: out.StartRound, Obs: c.Obs, Spans: c.Spans}
 	if heal := healFault(sched); heal != nil {
-		if heal.Flaps >= c.flapTolerance() {
+		if Quarantined(1+heal.Flaps, c.FlapTolerance) {
 			// Flap damping: the device keeps bouncing; replanning it back
 			// in would trade a migrate-back bill for capacity about to
 			// vanish again. Serve the rest of the run degraded.
