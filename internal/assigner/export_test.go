@@ -1,0 +1,23 @@
+package assigner
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// CheckTransferStarts and CheckDeltaWalk let the external tests, which can
+// import the experiments package's specs, run the in-package transfer
+// checks on them.
+func CheckTransferStarts(t *testing.T, s *Spec) { checkTransferStarts(t, s) }
+
+func CheckDeltaWalk(t *testing.T, s *Spec, seed int64, plans int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, mb := range s.prefillCandidates() {
+		tb, err := BuildTables(s, ProfilerTimer{}, mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDeltaWalk(t, tb, rng, plans)
+	}
+}

@@ -11,28 +11,44 @@ const transferMaxIters = 400
 
 // bitwidthTransfer refines a plan in place-by-copy and returns the best
 // found plan with its evaluation.
+//
+// Each step walks the candidates of rule set C lazily on one scratch plan
+// and prices each by delta (transferEval), stopping at the first that
+// beats the incumbent by more than 1e-12. Only that candidate is cloned,
+// and its full Evaluate becomes the next incumbent's evaluation.
 func bitwidthTransfer(t *Tables, start *Plan) (*Plan, *Evaluation, error) {
 	best := clonePlan(start)
 	bestEv, err := Evaluate(t, best)
 	if err != nil {
 		return nil, nil, err
 	}
+	d := newTransferEval(t, best)
 	for iter := 0; iter < transferMaxIters; iter++ {
-		improved := false
-		for _, cand := range neighbors(t.Spec, best) {
-			ev, err := Evaluate(t, cand)
-			if err != nil {
-				return nil, nil, err
+		var walkErr error
+		improved := d.walk(func(lo, hi int) bool {
+			obj, feasible, ok := d.score(lo, hi)
+			if !ok {
+				// Evaluate reports what the delta cannot price.
+				ev, err := Evaluate(t, d.p)
+				if err != nil {
+					walkErr = err
+					return true
+				}
+				obj, feasible = ev.Objective, ev.Feasible
 			}
-			if ev.Feasible && ev.Objective < bestEv.Objective-1e-12 {
-				best, bestEv = cand, ev
-				improved = true
-				break // greedy first-improvement, then re-derive neighbors
-			}
+			return feasible && obj < bestEv.Objective-1e-12
+		})
+		if walkErr != nil {
+			return nil, nil, walkErr
 		}
 		if !improved {
-			break
+			break // greedy first-improvement found nothing better
 		}
+		best = clonePlan(d.p)
+		if bestEv, err = Evaluate(t, best); err != nil {
+			return nil, nil, err
+		}
+		d.load()
 	}
 	return best, &bestEv, nil
 }
@@ -45,71 +61,224 @@ func clonePlan(p *Plan) *Plan {
 	return &q
 }
 
-// neighbors generates the transformation candidates of rule set C:
-//
-//   - boundary shifts: move the edge group of a stage to its neighbor,
-//     keeping or converting its precision (e.g. the paper's (4, 8, 2) rule
-//     — replacing one 8-bit layer with 4-bit layers on another stage — is
-//     a composition of a shift plus precision conversions);
-//   - in-place precision steps: one group one step up or down the
-//     candidate bit ladder.
-func neighbors(s *Spec, p *Plan) []*Plan {
-	var out []*Plan
-	n := p.NumStages()
-	// Boundary shifts with optional precision conversion of the moved
-	// group.
-	for b := 1; b < n; b++ {
-		// Shift boundary left: first group of stage b moves to stage b-1?
-		// Boundaries[b] separates stage b-1 (left) and stage b (right).
-		// Move right: stage b-1 grows by taking group Boundaries[b].
-		if p.Boundaries[b+1]-p.Boundaries[b] > 1 { // right stage keeps ≥1
-			for _, nb := range bitChoices(s, p.GroupBits[p.Boundaries[b]]) {
-				q := clonePlan(p)
-				q.GroupBits[q.Boundaries[b]] = nb
-				q.Boundaries[b]++
-				out = append(out, q)
-			}
-		}
-		// Move left: stage b grows by taking group Boundaries[b]-1.
-		if p.Boundaries[b]-p.Boundaries[b-1] > 1 { // left stage keeps ≥1
-			for _, nb := range bitChoices(s, p.GroupBits[p.Boundaries[b]-1]) {
-				q := clonePlan(p)
-				q.GroupBits[q.Boundaries[b]-1] = nb
-				q.Boundaries[b]--
-				out = append(out, q)
-			}
-		}
-	}
-	// In-place precision steps on every group (the straggler's groups come
-	// first in evaluation order anyway; trying all keeps the rule set
-	// complete and the instance sizes make it cheap).
-	for g := 0; g < len(p.GroupBits); g++ {
-		cur := bitIndexIn(s.Bits, p.GroupBits[g])
-		if cur > 0 {
-			q := clonePlan(p)
-			q.GroupBits[g] = s.Bits[cur-1]
-			out = append(out, q)
-		}
-		if cur >= 0 && cur < len(s.Bits)-1 {
-			q := clonePlan(p)
-			q.GroupBits[g] = s.Bits[cur+1]
-			out = append(out, q)
-		}
-	}
-	return out
+// stageCost is one stage's Evaluate sums: seconds per prefill and decode
+// micro-batch and bytes of memory.
+type stageCost struct{ pre, dec, mem float64 }
+
+// transferEval prices bitwidthTransfer's candidates by delta. A candidate
+// moves one boundary, which changes two stages, or steps one group's
+// bits, which changes one; only those stages are recomputed. Their sums
+// use Evaluate's expressions in its addition order, and ω is summed
+// afresh in group order rather than updated by a running delta, so every
+// candidate's objective is bit-identical to Evaluate's.
+type transferEval struct {
+	t      *Tables
+	kp, kd int // prefill and decode micro-batches per global batch
+	p      *Plan
+	// bi is the Spec.Bits index of each group's bits in p, or -1.
+	bi []int
+	// omega holds ω of group g at Spec.Bits[b] at g*len(Spec.Bits)+b;
+	// omegaErr marks the entries whose Omega.At failed.
+	omega    []float64
+	omegaErr []bool
+	cur      []stageCost // the stages of the incumbent
+	cand     []stageCost // the stages of p
 }
 
-// bitChoices returns the current bit plus its immediate ladder neighbors.
-func bitChoices(s *Spec, cur int) []int {
+// newTransferEval builds the delta evaluator on a scratch copy of
+// incumbent, which must have passed Evaluate.
+func newTransferEval(t *Tables, incumbent *Plan) *transferEval {
+	s := t.Spec
+	nb := len(s.Bits)
+	d := &transferEval{
+		t:        t,
+		kp:       (s.Work.GlobalBatch + t.PrefillMB - 1) / t.PrefillMB,
+		kd:       (s.Work.GlobalBatch + t.DecodeMB - 1) / t.DecodeMB,
+		p:        clonePlan(incumbent),
+		bi:       make([]int, len(incumbent.GroupBits)),
+		omega:    make([]float64, len(incumbent.GroupBits)*nb),
+		omegaErr: make([]bool, len(incumbent.GroupBits)*nb),
+		cur:      make([]stageCost, incumbent.NumStages()),
+		cand:     make([]stageCost, incumbent.NumStages()),
+	}
+	for g := range incumbent.GroupBits {
+		for b, bits := range s.Bits {
+			w, err := s.Omega.At(g, bits)
+			d.omega[g*nb+b], d.omegaErr[g*nb+b] = w, err != nil
+		}
+	}
+	for g, bits := range d.p.GroupBits {
+		d.bi[g] = bitIndexIn(s.Bits, bits)
+	}
+	d.load()
+	return d
+}
+
+// load takes the scratch plan, which has just passed Evaluate, as the
+// incumbent.
+func (d *transferEval) load() {
+	for j := range d.cur {
+		d.cur[j] = d.stage(j)
+	}
+	copy(d.cand, d.cur)
+}
+
+// stage computes stage j of the scratch plan as Evaluate does.
+func (d *transferEval) stage(j int) stageCost {
+	t, p := d.t, d.p
+	n := p.NumStages()
+	dev := p.Order[j]
+	var c stageCost
+	for g := p.Boundaries[j]; g < p.Boundaries[j+1]; g++ {
+		bi := d.bi[g]
+		c.pre += t.TPre[dev][bi]
+		c.dec += t.TDec[dev][bi]
+		c.mem += t.GroupMem[bi]
+	}
+	if j == 0 {
+		c.pre += t.EmbedPre
+		c.dec += t.EmbedDec
+		c.mem += t.EmbedMem
+	}
+	if j == n-1 {
+		c.mem += t.HeadMem
+		if n > 1 {
+			c.pre += t.CommDec[dev][p.Order[0]]
+			c.dec += t.CommDec[dev][p.Order[0]]
+		}
+	}
+	if j < n-1 {
+		next := p.Order[j+1]
+		c.pre += t.CommPre[dev][next]
+		c.dec += t.CommDec[dev][next]
+	}
+	c.mem += t.TempMem
+	return c
+}
+
+// score prices the scratch plan, in which a move has changed stages lo
+// through hi, and leaves their costs in cand. ok is false when a group's
+// bits or ω are missing from the tables; Evaluate must price it then.
+func (d *transferEval) score(lo, hi int) (obj float64, feasible, ok bool) {
+	s := d.t.Spec
+	nb := len(s.Bits)
+	var omega float64
+	for g, b := range d.bi {
+		if b < 0 || d.omegaErr[g*nb+b] {
+			return 0, false, false
+		}
+		omega += d.omega[g*nb+b]
+	}
+	for j := lo; j <= hi; j++ {
+		d.cand[j] = d.stage(j)
+	}
+	feasible = true
+	var maxPre, maxDec, sumPre, sumDec float64
+	for j, c := range d.cand {
+		sumPre += c.pre
+		sumDec += c.dec
+		if c.pre > maxPre {
+			maxPre = c.pre
+		}
+		if c.dec > maxDec {
+			maxDec = c.dec
+		}
+		if c.mem > d.t.Capacity[d.p.Order[j]] {
+			feasible = false
+		}
+	}
+	prefill := sumPre + float64(d.kp-1)*maxPre
+	var decode float64
+	if rounds := (s.Work.Generate - 1) * d.kd; rounds > 0 {
+		decode = sumDec + float64(rounds-1)*maxDec
+	}
+	latency := prefill + decode
+	return latency + s.Theta*omega, feasible, true
+}
+
+// walk visits the candidates of rule set C for the incumbent in a fixed
+// order:
+//
+//   - boundary shifts: each boundary b moves right (stage b-1 takes the
+//     first group of stage b), then left (stage b takes the last group of
+//     stage b-1), the moved group at its current bits, one step down and
+//     one step up the bit ladder (e.g. the paper's (4, 8, 2) rule — replacing
+//     one 8-bit layer with 4-bit layers on another stage — is a
+//     composition of a shift plus precision conversions);
+//   - in-place precision steps: each group one step down, then one step
+//     up the bit ladder.
+//
+// Each candidate is applied to the scratch plan and visit is passed the
+// stages it changed. When visit returns true the walk stops with that
+// candidate applied and reports true; otherwise the move is undone.
+func (d *transferEval) walk(visit func(lo, hi int) bool) bool {
+	s, p := d.t.Spec, d.p
+	n := p.NumStages()
+	for b := 1; b < n; b++ {
+		// Boundaries[b] separates stage b-1 from stage b; each side keeps
+		// at least one group.
+		if p.Boundaries[b+1]-p.Boundaries[b] > 1 && d.shift(b, p.Boundaries[b], 1, visit) {
+			return true
+		}
+		if p.Boundaries[b]-p.Boundaries[b-1] > 1 && d.shift(b, p.Boundaries[b]-1, -1, visit) {
+			return true
+		}
+	}
+	j := 0
+	for g := range p.GroupBits {
+		for g >= p.Boundaries[j+1] {
+			j++
+		}
+		cur := d.bi[g]
+		if cur > 0 && d.try(g, s.Bits[cur-1], j, j, visit) {
+			return true
+		}
+		if cur >= 0 && cur < len(s.Bits)-1 && d.try(g, s.Bits[cur+1], j, j, visit) {
+			return true
+		}
+	}
+	return false
+}
+
+// shift moves group g across boundary b, which step moves by ±1, at each
+// of bitChoices.
+func (d *transferEval) shift(b, g, step int, visit func(lo, hi int) bool) bool {
+	choices, k := bitChoices(d.t.Spec, d.p.GroupBits[g])
+	for _, bits := range choices[:k] {
+		d.p.Boundaries[b] += step
+		if d.try(g, bits, b-1, b, visit) {
+			return true
+		}
+		d.p.Boundaries[b] -= step
+	}
+	return false
+}
+
+// try sets group g to bits, visits the scratch plan, and undoes the bits
+// and the costs of stages lo through hi unless visit accepts.
+func (d *transferEval) try(g, bits, lo, hi int, visit func(lo, hi int) bool) bool {
+	old, oldBi := d.p.GroupBits[g], d.bi[g]
+	d.p.GroupBits[g], d.bi[g] = bits, bitIndexIn(d.t.Spec.Bits, bits)
+	if visit(lo, hi) {
+		return true
+	}
+	d.p.GroupBits[g], d.bi[g] = old, oldBi
+	copy(d.cand[lo:hi+1], d.cur[lo:hi+1])
+	return false
+}
+
+// bitChoices returns the current bit plus its immediate ladder neighbors
+// in out[:k].
+func bitChoices(s *Spec, cur int) (out [3]int, k int) {
+	out[0], k = cur, 1
 	i := bitIndexIn(s.Bits, cur)
-	out := []int{cur}
 	if i > 0 {
-		out = append(out, s.Bits[i-1])
+		out[k], k = s.Bits[i-1], k+1
 	}
 	if i >= 0 && i < len(s.Bits)-1 {
-		out = append(out, s.Bits[i+1])
+		out[k], k = s.Bits[i+1], k+1
 	}
-	return out
+	return out, k
 }
 
 func bitIndexIn(bits []int, b int) int {
