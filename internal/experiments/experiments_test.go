@@ -52,6 +52,7 @@ func TestFig4MixedBetweenUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenRows(t, "fig4", rows)
 	get := func(model, scheme string) float64 {
 		for _, r := range rows {
 			if r.Model == model && r.Scheme == scheme {
@@ -122,6 +123,7 @@ func TestTable1EarlierRangesHurtLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenRows(t, "table1", rows)
 	// Per model, PPL should be non-decreasing across the three ranges.
 	byModel := map[string][]float64{}
 	for _, r := range rows {
@@ -229,6 +231,16 @@ func TestTable6IndicatorShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pin the PPLs only: Overhead is wall-clock.
+	type pplRow struct {
+		Method string
+		PPL    float64
+	}
+	var ppls []pplRow
+	for _, r := range rows {
+		ppls = append(ppls, pplRow{r.Method, r.PPL})
+	}
+	checkGoldenRows(t, "table6", ppls)
 	get := func(m string) Table6Row {
 		for _, r := range rows {
 			if r.Method == m {

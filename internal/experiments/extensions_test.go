@@ -9,6 +9,7 @@ func TestExtSchemesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenRows(t, "ext_schemes", rows)
 	get := func(scheme string, bits int) float64 {
 		for _, r := range rows {
 			if r.Scheme == scheme && r.Bits == bits {
@@ -91,6 +92,7 @@ func TestExtTrainedOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenRows(t, "ext_trained", rows)
 	get := func(s string) QualityRow {
 		for _, r := range rows {
 			if r.Scheme == s {
