@@ -21,12 +21,15 @@ vet:
 # TP mesh search, the parallel planner search (assigner worker pool
 # plus the lp/ilp solvers it calls concurrently), the chaos/failover
 # fault-injection stack, the distributed control plane, the coordinator
-# journal (concurrent appends), and the HTTP serving front door
-# (concurrent handlers sharing one engine) run under the race detector
-# (documented in README "Correctness tooling").
+# journal (concurrent appends), the HTTP serving front door
+# (concurrent handlers sharing one engine), and the reference-model
+# quality path (nn forward, training and calibration; quality; indicator)
+# run under the race detector (documented in README "Correctness
+# tooling"). scripts/verify.sh runs this target, so the package list
+# lives only here.
 .PHONY: verify-race
 verify-race:
-	$(GO) test -race ./internal/runtime/... ./internal/online/... ./internal/simclock/... ./internal/obs/... ./internal/tp/... ./internal/assigner/... ./internal/lp/... ./internal/ilp/... ./internal/chaos/... ./internal/failover/... ./internal/core/retry/... ./internal/dist/... ./internal/journal/... ./internal/serve/...
+	$(GO) test -race ./internal/runtime/... ./internal/online/... ./internal/simclock/... ./internal/obs/... ./internal/tp/... ./internal/assigner/... ./internal/lp/... ./internal/ilp/... ./internal/chaos/... ./internal/failover/... ./internal/core/retry/... ./internal/dist/... ./internal/journal/... ./internal/serve/... ./internal/nn/... ./internal/quality/... ./internal/indicator/...
 
 # Coverage gate: aggregate statement coverage over ./internal/... must not
 # drop below COVER_FLOOR (percent, measured when the gate was introduced;

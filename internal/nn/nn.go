@@ -307,6 +307,12 @@ func (m *Model) NewCache() *KVCache {
 // cache this is the prefill/decode path of the paper's Fig 2: prefill passes
 // the whole prompt, decode passes one token re-using cached KV pairs.
 func (m *Model) Forward(tokens []int, cache *KVCache) (*tensor.Matrix, error) {
+	return m.forward(tokens, cache, nil)
+}
+
+// forward is Forward with an optional tape: a non-nil tp records every
+// layer's intermediates and the final LayerNorm's input.
+func (m *Model) forward(tokens []int, cache *KVCache, tp *tape) (*tensor.Matrix, error) {
 	past := 0
 	if cache != nil {
 		past = cache.Len()
@@ -315,9 +321,15 @@ func (m *Model) Forward(tokens []int, cache *KVCache) (*tensor.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err = m.ForwardRange(0, len(m.Layers), x, cache)
+	if tp != nil {
+		tp.layers = make([]layerTape, len(m.Layers))
+	}
+	x, err = m.forwardRange(0, len(m.Layers), x, cache, tp)
 	if err != nil {
 		return nil, err
+	}
+	if tp != nil {
+		tp.lnfIn = x
 	}
 	return m.Logits(x)
 }
@@ -351,12 +363,22 @@ func (m *Model) EmbedTokens(tokens []int, past int) (*tensor.Matrix, error) {
 // stage's share of the model. The cache is indexed by absolute layer, so a
 // stage can pass its own KVCache covering only its layers.
 func (m *Model) ForwardRange(lo, hi int, x *tensor.Matrix, cache *KVCache) (*tensor.Matrix, error) {
+	return m.forwardRange(lo, hi, x, cache, nil)
+}
+
+// forwardRange is ForwardRange with an optional tape, whose layers slice
+// is indexed by absolute layer.
+func (m *Model) forwardRange(lo, hi int, x *tensor.Matrix, cache *KVCache, tp *tape) (*tensor.Matrix, error) {
 	if lo < 0 || hi > len(m.Layers) || lo >= hi {
 		return nil, fmt.Errorf("nn: layer range [%d,%d) out of [0,%d]", lo, hi, len(m.Layers))
 	}
 	for li := lo; li < hi; li++ {
+		var lt *layerTape
+		if tp != nil {
+			lt = &tp.layers[li]
+		}
 		var err error
-		x, err = m.layerForward(m.Layers[li], li, x, cache)
+		x, err = m.layerForward(m.Layers[li], li, x, cache, lt)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d: %w", li, err)
 		}
@@ -374,14 +396,36 @@ func (m *Model) Logits(x *tensor.Matrix) (*tensor.Matrix, error) {
 	return tensor.MatMulT(out, m.Embed)
 }
 
-func (m *Model) layerForward(l *Layer, li int, x *tensor.Matrix, cache *KVCache) (*tensor.Matrix, error) {
+// layerTape holds one decoder layer's forward intermediates, for
+// training's backward pass and for calibration statistics.
+type layerTape struct {
+	xIn     *tensor.Matrix // layer input (residual stream)
+	ln1Out  *tensor.Matrix
+	q, k, v *tensor.Matrix
+	probs   []*tensor.Matrix // per head, s×s
+	ctx     *tensor.Matrix
+	resid2  *tensor.Matrix // xIn + attnOut (input to LN2 path)
+	ln2Out  *tensor.Matrix
+	fc1Out  *tensor.Matrix // pre-GELU
+	gelu    *tensor.Matrix
+}
+
+// tape records a whole forward pass.
+type tape struct {
+	layers []layerTape
+	lnfIn  *tensor.Matrix // input to the final LayerNorm
+}
+
+// layerForward runs decoder layer li on x, overwriting x with its LN1
+// output. A nil lt records nothing. A non-nil lt records the layer's
+// intermediates without copying them, since nothing writes any of them
+// after it is recorded. The one exception is the pre-GELU activation,
+// which GELU overwrites in place; it is cloned, and only when lt is set.
+func (m *Model) layerForward(l *Layer, li int, x *tensor.Matrix, cache *KVCache, lt *layerTape) (*tensor.Matrix, error) {
 	resid := x.Clone()
 	if err := x.LayerNormRows(l.ln1g, l.ln1b); err != nil {
 		return nil, err
 	}
-	recordStats(l.wq, x)
-	recordStats(l.wk, x)
-	recordStats(l.wv, x)
 	q, err := l.wq.apply(x)
 	if err != nil {
 		return nil, err
@@ -414,11 +458,10 @@ func (m *Model) layerForward(l *Layer, li int, x *tensor.Matrix, cache *KVCache)
 		cache.K[li] = k
 		cache.V[li] = v
 	}
-	ctx, err := m.attention(q, k, v, past)
+	ctx, err := m.attention(q, k, v, past, lt)
 	if err != nil {
 		return nil, err
 	}
-	recordStats(l.wo, ctx)
 	attnOut, err := l.wo.apply(ctx)
 	if err != nil {
 		return nil, err
@@ -430,13 +473,15 @@ func (m *Model) layerForward(l *Layer, li int, x *tensor.Matrix, cache *KVCache)
 	if err := attnOut.LayerNormRows(l.ln2g, l.ln2b); err != nil {
 		return nil, err
 	}
-	recordStats(l.fc1, attnOut)
 	hid, err := l.fc1.apply(attnOut)
 	if err != nil {
 		return nil, err
 	}
+	var pre *tensor.Matrix
+	if lt != nil {
+		pre = hid.Clone()
+	}
 	hid.GELU()
-	recordStats(l.fc2, hid)
 	out, err := l.fc2.apply(hid)
 	if err != nil {
 		return nil, err
@@ -444,12 +489,17 @@ func (m *Model) layerForward(l *Layer, li int, x *tensor.Matrix, cache *KVCache)
 	if err := out.Add(resid2); err != nil {
 		return nil, err
 	}
+	if lt != nil {
+		*lt = layerTape{xIn: resid, ln1Out: x, q: q, k: k, v: v, probs: lt.probs, ctx: ctx,
+			resid2: resid2, ln2Out: attnOut, fc1Out: pre, gelu: hid}
+	}
 	return out, nil
 }
 
 // attention computes multi-head causal attention. q has rows = new tokens;
-// k, v include `past` cached rows.
-func (m *Model) attention(q, k, v *tensor.Matrix, past int) (*tensor.Matrix, error) {
+// k, v include `past` cached rows. A non-nil lt records each head's
+// softmax probabilities.
+func (m *Model) attention(q, k, v *tensor.Matrix, past int, lt *layerTape) (*tensor.Matrix, error) {
 	nh := m.Cfg.Heads
 	dh := m.Cfg.Hidden / nh
 	out := tensor.New(q.Rows, m.Cfg.Hidden)
@@ -465,6 +515,9 @@ func (m *Model) attention(q, k, v *tensor.Matrix, past int) (*tensor.Matrix, err
 		scores.Scale(scale)
 		scores.CausalMask(past)
 		scores.SoftmaxRows()
+		if lt != nil {
+			lt.probs = append(lt.probs, scores)
+		}
 		ctx, err := tensor.MatMul(scores, vh)
 		if err != nil {
 			return nil, err
@@ -484,25 +537,24 @@ func headSlice(m *tensor.Matrix, h, dh int) *tensor.Matrix {
 	return out
 }
 
-// statsEnabled toggles activation-statistic capture (calibration pass).
-var statsEnabled bool
-
-func recordStats(l *linear, x *tensor.Matrix) {
-	if !statsEnabled {
-		return
-	}
-	l.InMean = x.Mean()
-	l.InVar = x.Variance()
-}
-
-// CalibrateStats runs a forward pass over the calibration tokens with
-// activation-statistics capture enabled, filling each linear's InMean/InVar.
-// This is the paper's "calibration data from the C4 dataset" step (§2.4).
+// CalibrateStats runs one taped forward pass over the calibration tokens
+// and fills each linear's InMean/InVar from the input it saw. This is the
+// paper's "calibration data from the C4 dataset" step (§2.4).
 func (m *Model) CalibrateStats(tokens []int) error {
-	statsEnabled = true
-	defer func() { statsEnabled = false }()
-	_, err := m.Forward(tokens, nil)
-	return err
+	tp := &tape{}
+	if _, err := m.forward(tokens, nil, tp); err != nil {
+		return err
+	}
+	for li, l := range m.Layers {
+		lt := &tp.layers[li]
+		// In linears() order: wq, wk, wv, wo, fc1, fc2.
+		inputs := []*tensor.Matrix{lt.ln1Out, lt.ln1Out, lt.ln1Out, lt.ctx, lt.ln2Out, lt.gelu}
+		for i, lin := range l.linears() {
+			lin.InMean = inputs[i].Mean()
+			lin.InVar = inputs[i].Variance()
+		}
+	}
+	return nil
 }
 
 // LinearStats describes one quantizable operator for the indicator: its
@@ -598,21 +650,35 @@ func (m *Model) CrossEntropy(seq []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return CrossEntropyOf(logits, seq)
+}
+
+// CrossEntropyOf scores logits from Forward(seq[:len(seq)-1], nil) against
+// seq's next tokens and returns mean negative log-likelihood in nats.
+func CrossEntropyOf(logits *tensor.Matrix, seq []int) (float64, error) {
+	if logits.Rows == 0 || logits.Rows != len(seq)-1 {
+		return 0, fmt.Errorf("nn: %d logit rows for a %d-token sequence", logits.Rows, len(seq))
+	}
 	var total float64
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
-		maxV := math.Inf(-1)
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var lse float64
-		for _, v := range row {
-			lse += math.Exp(v - maxV)
-		}
-		lse = maxV + math.Log(lse)
-		total += lse - row[seq[i+1]]
+		total += logSumExp(row) - row[seq[i+1]]
 	}
 	return total / float64(logits.Rows), nil
+}
+
+// logSumExp returns log Σ exp(row), shifted by the row maximum for
+// stability.
+func logSumExp(row []float64) float64 {
+	maxV := math.Inf(-1)
+	for _, v := range row {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float64
+	for _, v := range row {
+		sum += math.Exp(v - maxV)
+	}
+	return maxV + math.Log(sum)
 }

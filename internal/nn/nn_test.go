@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/quant"
@@ -318,5 +319,57 @@ func TestMixedPrecisionBetweenUniformBounds(t *testing.T) {
 	slack := (hi - lo) * 0.25
 	if ceMix < lo-slack || ceMix > hi+slack {
 		t.Errorf("mixed4-8 CE %.4f outside [%.4f, %.4f]", ceMix, lo, hi)
+	}
+}
+
+func TestConcurrentCalibrationMatchesSequential(t *testing.T) {
+	// Calibration keeps no shared state: two models calibrated at once
+	// must each get exactly the stats a sequential calibration gives.
+	calib := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}, {40, 9, 33, 2, 17, 5, 28}}
+	statsOf := func(m *Model) []float64 {
+		var out []float64
+		for _, l := range m.Layers {
+			for _, lin := range l.linears() {
+				out = append(out, lin.InMean, lin.InVar)
+			}
+		}
+		return out
+	}
+	fresh := func(seed int64) *Model {
+		m, err := New(testCfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := make([][]float64, len(calib))
+	models := make([]*Model, len(calib))
+	for i, tokens := range calib {
+		m := fresh(int64(i))
+		if err := m.CalibrateStats(tokens); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = statsOf(m)
+		models[i] = fresh(int64(i))
+	}
+	errs := make([]error, len(models))
+	var wg sync.WaitGroup
+	for i, m := range models {
+		wg.Add(1)
+		go func(i int, m *Model) {
+			defer wg.Done()
+			errs[i] = m.CalibrateStats(calib[i])
+		}(i, m)
+	}
+	wg.Wait()
+	for i, m := range models {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for j, v := range statsOf(m) {
+			if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+				t.Fatalf("model %d stat %d: concurrent %v, sequential %v", i, j, v, want[i][j])
+			}
+		}
 	}
 }

@@ -1,5 +1,5 @@
-// Training support for the reference transformer: a taped forward pass,
-// manual backpropagation through every operator (tied-embedding head,
+// Training support for the reference transformer: manual backpropagation
+// from the forward pass's tape through every operator (tied-embedding head,
 // LayerNorm, causal multi-head attention, GELU MLP, residuals), and an
 // Adam optimizer — all in pure Go.
 //
@@ -17,127 +17,6 @@ import (
 
 	"repro/internal/tensor"
 )
-
-// layerTape stores one decoder layer's forward intermediates.
-type layerTape struct {
-	xIn     *tensor.Matrix // layer input (residual stream)
-	ln1In   *tensor.Matrix
-	ln1Out  *tensor.Matrix
-	q, k, v *tensor.Matrix
-	probs   []*tensor.Matrix // per head, s×s
-	ctx     *tensor.Matrix
-	resid2  *tensor.Matrix // xIn + attnOut (input to LN2 path)
-	ln2Out  *tensor.Matrix
-	fc1Out  *tensor.Matrix // pre-GELU
-	gelu    *tensor.Matrix
-}
-
-type tape struct {
-	tokens []int
-	x0     *tensor.Matrix // embedding output
-	layers []layerTape
-	lnfIn  *tensor.Matrix // input to the final LayerNorm
-	lnfOut *tensor.Matrix
-	logits *tensor.Matrix
-}
-
-// forwardTape runs the full-sequence forward pass recording intermediates.
-func (m *Model) forwardTape(tokens []int) (*tape, error) {
-	x, err := m.EmbedTokens(tokens, 0)
-	if err != nil {
-		return nil, err
-	}
-	tp := &tape{tokens: tokens, x0: x.Clone()}
-	for _, l := range m.Layers {
-		lt := layerTape{xIn: x.Clone()}
-		// LN1.
-		lt.ln1In = x.Clone()
-		ln1 := x.Clone()
-		if err := ln1.LayerNormRows(l.ln1g, l.ln1b); err != nil {
-			return nil, err
-		}
-		lt.ln1Out = ln1.Clone()
-		// QKV.
-		if lt.q, err = l.wq.apply(ln1); err != nil {
-			return nil, err
-		}
-		if lt.k, err = l.wk.apply(ln1); err != nil {
-			return nil, err
-		}
-		if lt.v, err = l.wv.apply(ln1); err != nil {
-			return nil, err
-		}
-		// Attention with saved probabilities.
-		nh := m.Cfg.Heads
-		dh := m.Cfg.Hidden / nh
-		ctx := tensor.New(len(tokens), m.Cfg.Hidden)
-		scale := 1 / math.Sqrt(float64(dh))
-		for h := 0; h < nh; h++ {
-			qh := headSlice(lt.q, h, dh)
-			kh := headSlice(lt.k, h, dh)
-			vh := headSlice(lt.v, h, dh)
-			scores, err := tensor.MatMulT(qh, kh)
-			if err != nil {
-				return nil, err
-			}
-			scores.Scale(scale)
-			scores.CausalMask(0)
-			scores.SoftmaxRows()
-			lt.probs = append(lt.probs, scores.Clone())
-			chead, err := tensor.MatMul(scores, vh)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < chead.Rows; i++ {
-				copy(ctx.Row(i)[h*dh:(h+1)*dh], chead.Row(i))
-			}
-		}
-		lt.ctx = ctx.Clone()
-		attnOut, err := l.wo.apply(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if err := attnOut.Add(lt.xIn); err != nil {
-			return nil, err
-		}
-		lt.resid2 = attnOut.Clone()
-		// LN2 + MLP.
-		ln2 := attnOut.Clone()
-		if err := ln2.LayerNormRows(l.ln2g, l.ln2b); err != nil {
-			return nil, err
-		}
-		lt.ln2Out = ln2.Clone()
-		fc1, err := l.fc1.apply(ln2)
-		if err != nil {
-			return nil, err
-		}
-		lt.fc1Out = fc1.Clone()
-		g := fc1.Clone()
-		g.GELU()
-		lt.gelu = g.Clone()
-		fc2, err := l.fc2.apply(g)
-		if err != nil {
-			return nil, err
-		}
-		if err := fc2.Add(lt.resid2); err != nil {
-			return nil, err
-		}
-		x = fc2
-		tp.layers = append(tp.layers, lt)
-	}
-	tp.lnfIn = x.Clone()
-	out := x.Clone()
-	if err := out.LayerNormRows(m.LNFg, m.LNFb); err != nil {
-		return nil, err
-	}
-	tp.lnfOut = out.Clone()
-	logits, err := tensor.MatMulT(out, m.Embed)
-	if err != nil {
-		return nil, err
-	}
-	tp.logits = logits
-	return tp, nil
-}
 
 // Grads accumulates gradients for every parameter (paired with the model's
 // parameter registry order).
@@ -205,45 +84,40 @@ func (m *Model) lossAndGrads(seq []int, g *Grads) (float64, error) {
 		return 0, fmt.Errorf("nn: need ≥2 tokens to train")
 	}
 	inputs := seq[:len(seq)-1]
-	tp, err := m.forwardTape(inputs)
+	tp := &tape{}
+	logits, err := m.forward(inputs, nil, tp)
 	if err != nil {
 		return 0, err
 	}
+	loss, err := CrossEntropyOf(logits, seq)
+	if err != nil {
+		return 0, err
+	}
+	// dLogits of the mean softmax cross-entropy.
 	s := len(inputs)
-	V := m.Cfg.Vocab
-	// Softmax CE loss and dLogits.
-	dLogits := tensor.New(s, V)
-	var loss float64
+	dLogits := tensor.New(s, m.Cfg.Vocab)
 	for i := 0; i < s; i++ {
-		row := tp.logits.Row(i)
-		maxV := math.Inf(-1)
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(v - maxV)
-		}
-		lse := maxV + math.Log(sum)
-		tgt := seq[i+1]
-		loss += lse - row[tgt]
+		row := logits.Row(i)
+		lse := logSumExp(row)
 		dr := dLogits.Row(i)
-		for j := 0; j < V; j++ {
+		for j := range dr {
 			dr[j] = math.Exp(row[j]-lse) / float64(s)
 		}
-		dr[tgt] -= 1 / float64(s)
+		dr[seq[i+1]] -= 1 / float64(s)
 	}
-	loss /= float64(s)
 
 	gi := newGradIndex(m, g)
-	// Tied head: logits = lnfOut · Embedᵀ.
+	// Tied head: logits = lnfOut · Embedᵀ, with lnfOut recomputed from the
+	// tape exactly as Logits computes it.
+	lnfOut := tp.lnfIn.Clone()
+	if err := lnfOut.LayerNormRows(m.LNFg, m.LNFb); err != nil {
+		return 0, err
+	}
 	dLnfOut, err := tensor.MatMul(dLogits, m.Embed)
 	if err != nil {
 		return 0, err
 	}
-	dEmbHead, err := tensor.MatMulAT(dLogits, tp.lnfOut)
+	dEmbHead, err := tensor.MatMulAT(dLogits, lnfOut)
 	if err != nil {
 		return 0, err
 	}
@@ -470,7 +344,7 @@ func (m *Model) layerBackward(li int, lt *layerTape, dOut *tensor.Matrix, gi *gr
 	if err := dLn1A.Add(dLn1C); err != nil {
 		return nil, err
 	}
-	dXinFromLN1 := layerNormBackward(lt.ln1In, l.ln1g, dLn1A, gi.buf(gi.ln(li, 0)), gi.buf(gi.ln(li, 1)))
+	dXinFromLN1 := layerNormBackward(lt.xIn, l.ln1g, dLn1A, gi.buf(gi.ln(li, 0)), gi.buf(gi.ln(li, 1)))
 	if err := dXin.Add(dXinFromLN1); err != nil {
 		return nil, err
 	}

@@ -25,8 +25,8 @@ echo "== tests =="
 go test ./...
 echo "== perfbench tests (separate module) =="
 (cd perfbench && go test ./...)
-echo "== race lane (pipeline engine / online / simclock / obs / tp / planner search / chaos / failover / dist / journal / serve) =="
-go test -race ./internal/runtime/... ./internal/online/... ./internal/simclock/... ./internal/obs/... ./internal/tp/... ./internal/assigner/... ./internal/lp/... ./internal/ilp/... ./internal/chaos/... ./internal/failover/... ./internal/core/retry/... ./internal/dist/... ./internal/journal/... ./internal/serve/...
+echo "== race lane (make verify-race) =="
+make verify-race
 echo "== observability smoke (llmpq-bench -metrics-out/-trace-out) =="
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
