@@ -58,3 +58,21 @@ func TestDPPassReusesBuffer(t *testing.T) {
 		t.Errorf("unconstrained pass: plan %v, %.0f allocations, want a plan and at most 20 (the plan and its upgraded sets)", p, got)
 	}
 }
+
+// TestEvaluateAllocs pins Evaluate at its four per-stage result slices: a
+// per-call scratch slice in the pricing path would add to every solver's
+// allocations.
+func TestEvaluateAllocs(t *testing.T) {
+	tb, order, bt := allocInstance(t)
+	p, _, err := solveStructured(tb, order, bt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if _, err := Evaluate(tb, p); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 4 {
+		t.Errorf("Evaluate made %.0f allocations, want 4: the Evaluation's per-stage slices", got)
+	}
+}

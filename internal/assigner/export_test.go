@@ -21,3 +21,15 @@ func CheckDeltaWalk(t *testing.T, s *Spec, seed int64, plans int) {
 		checkDeltaWalk(t, tb, rng, plans)
 	}
 }
+
+// TinySpec, OneDeviceSpec, SubsetOmega and RandomPlan let the external
+// Evaluate fixture price the in-package test instances.
+var (
+	TinySpec      = tinySpec
+	OneDeviceSpec = oneDeviceSpec
+	SubsetOmega   = subsetOmega
+	RandomPlan    = randomPlan
+)
+
+// PrefillCandidates returns the prefill micro-batch sizes Optimize tries.
+func PrefillCandidates(s *Spec) []int { return s.prefillCandidates() }
