@@ -72,7 +72,7 @@ func solveAdabits(t *Tables, order []int, bt *benefitTable) (*Plan, error) {
 
 	for j := 0; j < n; j++ {
 		d := order[j]
-		_, _, cMem := stageConst(t, order, j)
+		_, _, cMem := StageConstants(t, order, j)
 		capMem := t.Capacity[d] - cMem
 		lo, hi := p.Boundaries[j], p.Boundaries[j+1]
 		k := hi - lo

@@ -156,11 +156,11 @@ func (c *SolveCache) combo(key string, fn func() (*Plan, *Evaluation, error)) (*
 		return nil, nil, err
 	}
 	r := v.(comboResult)
-	return r.plan.clone(), r.ev.clone(), nil
+	return clonePlan(r.plan), r.ev.clone(), nil
 }
 
-// clone deep-copies a plan; nil stays nil.
-func (p *Plan) clone() *Plan {
+// clonePlan deep-copies a plan; nil stays nil.
+func clonePlan(p *Plan) *Plan {
 	if p == nil {
 		return nil
 	}

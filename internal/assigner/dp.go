@@ -45,17 +45,12 @@ func satAdd(a, b float64) float64 {
 	return infCost
 }
 
-// StageConstants exposes the position-dependent stage constants to other
-// planners (the baselines build their own partitions over the same cost
-// tables).
+// StageConstants returns the position-dependent constants of stage j
+// under a device order: extra prefill/decode time (embedding, comm hops)
+// and extra memory (embedding table, LM head, temporaries). The DP and
+// the baselines, which build their own partitions over the same cost
+// tables, add them to a stage's group sums.
 func StageConstants(t *Tables, order []int, j int) (pre, dec, mem float64) {
-	return stageConst(t, order, j)
-}
-
-// stageConst returns the position-dependent constants of stage j under a
-// device order: extra prefill/decode time (embedding, comm hops) and extra
-// memory (embedding table, LM head, temporaries).
-func stageConst(t *Tables, order []int, j int) (pre, dec, mem float64) {
 	n := len(order)
 	d := order[j]
 	if j == 0 {
@@ -242,7 +237,6 @@ type mixTable struct {
 func (mt *mixTable) at(j, k int) []mixture { return mt.cells[(j-1)*mt.kmax+k-1] }
 
 func newMixTable(t *Tables, order []int, bt *benefitTable, kmax int) *mixTable {
-	s := t.Spec
 	n := len(order)
 	// Surrogate weights: the true objective charges the bottleneck stage
 	// (k_p−1)× extra prefill rounds and (rounds−1)× extra decode rounds.
@@ -250,9 +244,7 @@ func newMixTable(t *Tables, order []int, bt *benefitTable, kmax int) *mixTable {
 	// weighting every stage's time by 1 + extra/n steers the additive DP
 	// toward the right basin; the ε-cap scan plus exact re-evaluation
 	// still decide the final plan.
-	kp := (s.Work.GlobalBatch + t.PrefillMB - 1) / t.PrefillMB
-	kd := (s.Work.GlobalBatch + t.DecodeMB - 1) / t.DecodeMB
-	rounds := (s.Work.Generate - 1) * kd
+	kp, rounds := t.rounds()
 	preW := 1 + float64(kp-1)/float64(n)
 	decW := 1.0
 	if rounds > 0 {
@@ -266,7 +258,7 @@ func newMixTable(t *Tables, order []int, bt *benefitTable, kmax int) *mixTable {
 	for size, fill := 0, false; ; fill = true {
 		for j := 1; j <= n; j++ {
 			d := order[j-1]
-			cPre, cDec, cMem := stageConst(t, order, j-1)
+			cPre, cDec, cMem := StageConstants(t, order, j-1)
 			capMem := t.Capacity[d] - cMem
 			for k := 1; k <= kmax; k++ {
 				for pi, pr := range bt.pairs {

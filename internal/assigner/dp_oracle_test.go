@@ -136,7 +136,7 @@ func oracleSolveDP(t *Tables, order []int, bt *benefitTable, kmax int, capPre, c
 	}
 	for j := 1; j <= n; j++ {
 		d := order[j-1]
-		cPre, cDec, cMem := stageConst(t, order, j-1)
+		cPre, cDec, cMem := StageConstants(t, order, j-1)
 		capMem := t.Capacity[d] - cMem
 		for l := j; l <= L-(n-j); l++ {
 			for k := 1; k <= kmax && k <= l-(j-1); k++ {

@@ -33,9 +33,7 @@ func solveILP(t *Tables, order []int, limit time.Duration) (*Plan, error) {
 	idx := func(g, j, b int) int { return (g*n+j)*nb + b }
 	iPre, iDec := nz, nz+1
 
-	kp := (s.Work.GlobalBatch + t.PrefillMB - 1) / t.PrefillMB
-	kd := (s.Work.GlobalBatch + t.DecodeMB - 1) / t.DecodeMB
-	rounds := (s.Work.Generate - 1) * kd
+	kp, rounds := t.rounds()
 
 	c := make([]float64, nv)
 	for g := 0; g < L; g++ {
@@ -73,7 +71,7 @@ func solveILP(t *Tables, order []int, limit time.Duration) (*Plan, error) {
 	}
 	for j := 0; j < n; j++ {
 		d := order[j]
-		cPre, cDec, cMem := stageConst(t, order, j)
+		cPre, cDec, cMem := StageConstants(t, order, j)
 		// Memory.
 		mrow := make([]float64, nv)
 		for g := 0; g < L; g++ {

@@ -31,7 +31,7 @@ func TestKVQuantHalvesKVMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GroupMem = weights + KV: the KV half shrinks 2x.
-	bi, _ := t16.bitIndex(16)
+	bi := bitIndexIn(t16.Spec.Bits, 16)
 	w := s16.Cfg.LayerWeightBytes(16)
 	kv16 := t16.GroupMem[bi] - w
 	kv8 := t8.GroupMem[bi] - w

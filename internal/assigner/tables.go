@@ -209,12 +209,21 @@ func buildDecodeRow(s *Spec, timer LayerTimer, gpu hardware.GPU, decodeMB int) (
 	return row, nil
 }
 
-// bitIndex maps a bitwidth to its index in Spec.Bits.
-func (t *Tables) bitIndex(bits int) (int, error) {
-	for i, b := range t.Spec.Bits {
-		if b == bits {
-			return i, nil
+// rounds returns the pipeline model's micro-batch rounds: k_p prefill
+// micro-batches per global batch, and (n−1)·k_d decode rounds after the
+// first token.
+func (t *Tables) rounds() (prefill, decode int) {
+	s := t.Spec
+	kd := (s.Work.GlobalBatch + t.DecodeMB - 1) / t.DecodeMB
+	return (s.Work.GlobalBatch + t.PrefillMB - 1) / t.PrefillMB, (s.Work.Generate - 1) * kd
+}
+
+// bitIndexIn returns the index of b in bits, or -1.
+func bitIndexIn(bits []int, b int) int {
+	for i, v := range bits {
+		if v == b {
+			return i
 		}
 	}
-	return 0, fmt.Errorf("assigner: bitwidth %d not a candidate (%v)", bits, t.Spec.Bits)
+	return -1
 }

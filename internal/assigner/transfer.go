@@ -53,28 +53,15 @@ func bitwidthTransfer(t *Tables, start *Plan) (*Plan, *Evaluation, error) {
 	return best, &bestEv, nil
 }
 
-func clonePlan(p *Plan) *Plan {
-	q := *p
-	q.Order = append([]int(nil), p.Order...)
-	q.Boundaries = append([]int(nil), p.Boundaries...)
-	q.GroupBits = append([]int(nil), p.GroupBits...)
-	return &q
-}
-
-// stageCost is one stage's Evaluate sums: seconds per prefill and decode
-// micro-batch and bytes of memory.
-type stageCost struct{ pre, dec, mem float64 }
-
 // transferEval prices bitwidthTransfer's candidates by delta. A candidate
 // moves one boundary, which changes two stages, or steps one group's
-// bits, which changes one; only those stages are recomputed. Their sums
-// use Evaluate's expressions in its addition order, and ω is summed
-// afresh in group order rather than updated by a running delta, so every
-// candidate's objective is bit-identical to Evaluate's.
+// bits, which changes one; only those stages are recomputed. Stages and
+// the pipeline are priced by Evaluate's own stageSums and pipeline, and ω
+// is summed afresh in group order rather than updated by a running delta,
+// so every candidate's objective is bit-identical to Evaluate's.
 type transferEval struct {
-	t      *Tables
-	kp, kd int // prefill and decode micro-batches per global batch
-	p      *Plan
+	t *Tables
+	p *Plan
 	// bi is the Spec.Bits index of each group's bits in p, or -1.
 	bi []int
 	// omega holds ω of group g at Spec.Bits[b] at g*len(Spec.Bits)+b;
@@ -92,8 +79,6 @@ func newTransferEval(t *Tables, incumbent *Plan) *transferEval {
 	nb := len(s.Bits)
 	d := &transferEval{
 		t:        t,
-		kp:       (s.Work.GlobalBatch + t.PrefillMB - 1) / t.PrefillMB,
-		kd:       (s.Work.GlobalBatch + t.DecodeMB - 1) / t.DecodeMB,
 		p:        clonePlan(incumbent),
 		bi:       make([]int, len(incumbent.GroupBits)),
 		omega:    make([]float64, len(incumbent.GroupBits)*nb),
@@ -118,42 +103,9 @@ func newTransferEval(t *Tables, incumbent *Plan) *transferEval {
 // incumbent.
 func (d *transferEval) load() {
 	for j := range d.cur {
-		d.cur[j] = d.stage(j)
+		d.cur[j] = stageSums(d.t, d.p, j)
 	}
 	copy(d.cand, d.cur)
-}
-
-// stage computes stage j of the scratch plan as Evaluate does.
-func (d *transferEval) stage(j int) stageCost {
-	t, p := d.t, d.p
-	n := p.NumStages()
-	dev := p.Order[j]
-	var c stageCost
-	for g := p.Boundaries[j]; g < p.Boundaries[j+1]; g++ {
-		bi := d.bi[g]
-		c.pre += t.TPre[dev][bi]
-		c.dec += t.TDec[dev][bi]
-		c.mem += t.GroupMem[bi]
-	}
-	if j == 0 {
-		c.pre += t.EmbedPre
-		c.dec += t.EmbedDec
-		c.mem += t.EmbedMem
-	}
-	if j == n-1 {
-		c.mem += t.HeadMem
-		if n > 1 {
-			c.pre += t.CommDec[dev][p.Order[0]]
-			c.dec += t.CommDec[dev][p.Order[0]]
-		}
-	}
-	if j < n-1 {
-		next := p.Order[j+1]
-		c.pre += t.CommPre[dev][next]
-		c.dec += t.CommDec[dev][next]
-	}
-	c.mem += t.TempMem
-	return c
 }
 
 // score prices the scratch plan, in which a move has changed stages lo
@@ -170,30 +122,18 @@ func (d *transferEval) score(lo, hi int) (obj float64, feasible, ok bool) {
 		omega += d.omega[g*nb+b]
 	}
 	for j := lo; j <= hi; j++ {
-		d.cand[j] = d.stage(j)
+		d.cand[j] = stageSums(d.t, d.p, j)
 	}
 	feasible = true
-	var maxPre, maxDec, sumPre, sumDec float64
+	var pl pipeline
 	for j, c := range d.cand {
-		sumPre += c.pre
-		sumDec += c.dec
-		if c.pre > maxPre {
-			maxPre = c.pre
-		}
-		if c.dec > maxDec {
-			maxDec = c.dec
-		}
+		pl.add(c)
 		if c.mem > d.t.Capacity[d.p.Order[j]] {
 			feasible = false
 		}
 	}
-	prefill := sumPre + float64(d.kp-1)*maxPre
-	var decode float64
-	if rounds := (s.Work.Generate - 1) * d.kd; rounds > 0 {
-		decode = sumDec + float64(rounds-1)*maxDec
-	}
-	latency := prefill + decode
-	return latency + s.Theta*omega, feasible, true
+	prefill, decode := pl.sec(d.t)
+	return prefill + decode + s.Theta*omega, feasible, true
 }
 
 // walk visits the candidates of rule set C for the incumbent in a fixed
@@ -279,13 +219,4 @@ func bitChoices(s *Spec, cur int) (out [3]int, k int) {
 		out[k], k = s.Bits[i+1], k+1
 	}
 	return out, k
-}
-
-func bitIndexIn(bits []int, b int) int {
-	for i, v := range bits {
-		if v == b {
-			return i
-		}
-	}
-	return -1
 }
