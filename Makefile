@@ -1,9 +1,12 @@
 GO ?= go
 
 # Tier-1 verify: build, gofmt, stock vet, the domain lint suite, tests.
+# perfbench/ is its own module, so the root ./... never compiles it;
+# build and vet it here so deleting an export it calls fails the gate.
 .PHONY: verify
 verify:
 	$(GO) build ./...
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/llmpq-vet ./...

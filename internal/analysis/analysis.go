@@ -88,20 +88,17 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// AllowDirective is the one suppression syntax:
-// //llmpq:allow(<analyzer>): <reason>, on the finding's line or the line
-// above. It names exactly one analyzer, the reason is mandatory, and a
-// directive that suppresses nothing is itself a finding — stale
-// allowances rot the contract, so they fail the build.
-const AllowDirective = "llmpq:allow"
-
 // allowMetaName is the pseudo-analyzer findings about the directives
 // themselves are filed under (always on; not part of Analyzers()).
 const allowMetaName = "allow"
 
-// Anchored to the start of the comment so that prose mentioning the
-// directive (doc comments, fixture want-strings) is not itself parsed
-// as a directive.
+// allowRE is the one suppression syntax:
+// //llmpq:allow(<analyzer>): <reason>, on the finding's line or the line
+// above. It names exactly one analyzer, the reason is mandatory, and a
+// directive that suppresses nothing is itself a finding — stale
+// allowances rot the contract, so they fail the build. Anchored to the
+// start of the comment so that prose mentioning the directive (doc
+// comments, fixture want-strings) is not itself parsed as a directive.
 var allowRE = regexp.MustCompile(`^//\s*llmpq:allow\(([a-z]+)\)(:?)\s*(.*)`)
 
 // allowEntry is one parsed allow directive.
@@ -181,13 +178,6 @@ func applyAllows(allows []*allowEntry, diags []Diagnostic, ran map[string]bool) 
 		}
 	}
 	return kept
-}
-
-// RunPackage runs the given analyzers over one loaded package with
-// manifest-only facts — what fixture tests and single-package callers
-// use. See RunPackageFacts for the whole-module entry point.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunPackageFacts(pkg, analyzers, nil)
 }
 
 // RunPackageFacts runs the analyzers over one loaded package under the

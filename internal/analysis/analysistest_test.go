@@ -102,7 +102,7 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[stri
 func runFixture(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 	t.Helper()
 	pkg := loadFixture(t, fixture, pkgPath)
-	diags := RunPackage(pkg, []*Analyzer{a})
+	diags := RunPackageFacts(pkg, []*Analyzer{a}, nil)
 	wants := collectWants(t, pkg.Fset, pkg.Files)
 
 	matched := map[string][]bool{}

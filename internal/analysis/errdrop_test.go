@@ -8,7 +8,7 @@ func TestErrDrop(t *testing.T) {
 
 func TestErrDropOutOfScope(t *testing.T) {
 	pkg := loadFixture(t, "errdrop", "repro/internal/assigner/fixture")
-	for _, d := range RunPackage(pkg, []*Analyzer{ErrDrop}) {
+	for _, d := range RunPackageFacts(pkg, []*Analyzer{ErrDrop}, nil) {
 		// The fixture's llmpq:allow(errdrop) directive correctly turns up
 		// as unused out of scope; only errdrop findings would be wrong.
 		if d.Analyzer == ErrDrop.Name {

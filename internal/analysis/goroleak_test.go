@@ -8,7 +8,7 @@ func TestGoroLeak(t *testing.T) {
 
 func TestGoroLeakOutOfScope(t *testing.T) {
 	pkg := loadFixture(t, "goroleak", "repro/internal/assigner/fixture")
-	if diags := RunPackage(pkg, []*Analyzer{GoroLeak}); len(diags) != 0 {
+	if diags := RunPackageFacts(pkg, []*Analyzer{GoroLeak}, nil); len(diags) != 0 {
 		t.Fatalf("goroleak only covers dist and runtime, got %v", diags)
 	}
 }

@@ -2,10 +2,10 @@ package analysis
 
 // The shared per-package inspector: one walk over the package builds the
 // products every analyzer needs — parent links, per-function summaries
-// (static callees, goroutine-join signals, registry-name forwarding), a
-// lazy CFG, and a conservative escape set per function. Analyzers ask
-// the Pass for the Inspector instead of re-walking the files, which is
-// what lets the driver run many analyzers over one package cheaply.
+// (static callees, goroutine-join signals, registry-name forwarding) and
+// a lazy CFG per function. Analyzers ask the Pass for the Inspector
+// instead of re-walking the files, which is what lets the driver run
+// many analyzers over one package cheaply.
 
 import (
 	"go/ast"
@@ -41,9 +41,6 @@ type FuncInfo struct {
 
 	cfgOnce sync.Once
 	cfg     *CFG
-
-	escOnce sync.Once
-	escapes map[types.Object]bool
 }
 
 // CFG builds (once) and returns the function's control-flow graph, or
@@ -269,95 +266,4 @@ func recordRegForward(info *types.Info, fd *ast.FuncDecl, call *ast.CallExpr, fu
 			idx++
 		}
 	}
-}
-
-// Escapes reports whether a local object may leave the function — it is
-// returned, captured by a closure, has its address taken, is assigned
-// through a selector/index/deref, or is passed to a call other than the
-// modelled pure helpers (append/len/cap/copy/delete and the sort
-// package). Analyzers use it to stop tracking values they cannot follow.
-func (fi *FuncInfo) Escapes(info *types.Info, obj types.Object) bool {
-	fi.escOnce.Do(func() { fi.escapes = computeEscapes(info, fi.Decl) })
-	return fi.escapes[obj]
-}
-
-func computeEscapes(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
-	esc := map[types.Object]bool{}
-	if fd == nil || fd.Body == nil {
-		return esc
-	}
-	mark := func(e ast.Expr) {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil {
-				esc[obj] = true
-			}
-		}
-	}
-	var inClosure func(n ast.Node)
-	inClosure = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil {
-					esc[obj] = true // captured: treat every reference as escaping
-				}
-			}
-			return true
-		})
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			inClosure(n.Body)
-			return false
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				mark(r)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				mark(n.X)
-			}
-		case *ast.SendStmt:
-			mark(n.Value)
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				// Writing through a selector/index stores the RHS somewhere
-				// the function no longer controls.
-				if _, ok := ast.Unparen(lhs).(*ast.Ident); !ok {
-					if i < len(n.Rhs) {
-						mark(n.Rhs[i])
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if escapingCall(info, n) {
-				for _, a := range n.Args {
-					mark(a)
-				}
-			}
-		}
-		return true
-	})
-	return esc
-}
-
-// escapingCall reports whether passing a value to this call loses track
-// of it. The modelled exceptions keep the common deterministic idioms
-// analyzable: builtins and the sort package neither retain nor emit
-// their arguments.
-func escapingCall(info *types.Info, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if isBuiltinIdent(info, fun) {
-			return false // builtin: append, len, cap, copy, delete, make
-		}
-		if callee, ok := info.Uses[fun].(*types.Func); ok && callee.Pkg() == nil {
-			return false
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := info.Uses[fun.Sel].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Path() == "sort" {
-			return false
-		}
-	}
-	return true
 }

@@ -193,9 +193,9 @@ func checkMapIterFunc(p *Pass, fi *FuncInfo) {
 
 // sliceLeaves reports whether the collected slice leaves the function in
 // a way the shape-2 check cannot follow: returned, captured by a
-// closure, or address-taken. Deliberately narrower than FuncInfo.Escapes
-// — passing the slice to a call is exactly the consumption the check
-// inspects, so call arguments must not disqualify it.
+// closure, or address-taken. Passing the slice to a call is exactly the
+// consumption the check inspects, so call arguments must not disqualify
+// it.
 func sliceLeaves(info *types.Info, fd *ast.FuncDecl, obj types.Object) bool {
 	if fd == nil || fd.Body == nil {
 		return true

@@ -20,7 +20,7 @@ func TestSimWallClockCtrlPackagesUnconstrained(t *testing.T) {
 	// The same wall-clock-heavy code loaded under a ctrl path draws no
 	// findings: reading the clock is the control plane's job.
 	pkg := loadFixture(t, "simwallclock_retry", "repro/internal/dist/retry")
-	if diags := RunPackage(pkg, []*Analyzer{SimWallClock}); len(diags) != 0 {
+	if diags := RunPackageFacts(pkg, []*Analyzer{SimWallClock}, nil); len(diags) != 0 {
 		t.Fatalf("ctrl-role package should be unconstrained, got %v", diags)
 	}
 }

@@ -146,21 +146,6 @@ type Fault struct {
 	DelaySec float64
 }
 
-// EndSec returns when the fault stops acting: recovery for transient
-// crashes, window end for windowed kinds, +Inf never happens — permanent
-// crashes return AtSec (they act instantaneously and forever).
-func (f Fault) EndSec() float64 {
-	switch f.Kind {
-	case KindCrash:
-		if f.Permanent {
-			return f.AtSec
-		}
-		return f.AtSec + f.RecoverySec
-	default:
-		return f.AtSec + f.DurationSec
-	}
-}
-
 // activeAt reports whether a windowed fault covers virtual time t.
 func (f Fault) activeAt(t float64) bool {
 	return t >= f.AtSec && t < f.AtSec+f.DurationSec

@@ -216,15 +216,3 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
-
-func TestEndSec(t *testing.T) {
-	if got := (Fault{Kind: KindCrash, AtSec: 1, RecoverySec: 2}).EndSec(); got != 3 {
-		t.Errorf("transient crash end %g, want 3", got)
-	}
-	if got := (Fault{Kind: KindCrash, AtSec: 1, Permanent: true}).EndSec(); got != 1 {
-		t.Errorf("permanent crash end %g, want 1", got)
-	}
-	if got := (Fault{Kind: KindStraggler, AtSec: 1, DurationSec: 4}).EndSec(); got != 5 {
-		t.Errorf("straggler end %g, want 5", got)
-	}
-}

@@ -27,7 +27,7 @@ func TestDoContextDeterministicAttempts(t *testing.T) {
 	if err != nil || calls != 3 || len(slept) != 2 {
 		t.Fatalf("err %v calls %d sleeps %d, want nil/3/2", err, calls, len(slept))
 	}
-	want := p.Delays(7)
+	want := []float64{p.DelaySec(7, 1), p.DelaySec(7, 2)}
 	if slept[0] != want[0] || slept[1] != want[1] {
 		t.Errorf("sleeps %v, want prefix of %v", slept, want)
 	}

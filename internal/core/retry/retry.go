@@ -85,18 +85,6 @@ func (p Policy) DelaySec(seed int64, attempt int) float64 {
 	return d
 }
 
-// Delays returns all MaxAttempts−1 inter-attempt delays for one loop.
-func (p Policy) Delays(seed int64) []float64 {
-	if p.MaxAttempts <= 1 {
-		return nil
-	}
-	out := make([]float64, p.MaxAttempts-1)
-	for i := range out {
-		out[i] = p.DelaySec(seed, i+1)
-	}
-	return out
-}
-
 // Do runs op up to MaxAttempts times, calling sleep with the policy's
 // delay between attempts. op receives the 1-based attempt number; a nil
 // return stops the loop. sleep is injected so simulated-time callers

@@ -67,12 +67,9 @@ func TestDelayCapAndNoJitter(t *testing.T) {
 	if got := p.DelaySec(0, 1); got != 1 {
 		t.Errorf("uncapped first delay %g, want 1", got)
 	}
-	d := Policy{MaxAttempts: 3, BaseDelaySec: 2, Factor: 3}.Delays(0)
-	if len(d) != 2 || d[0] != 2 || d[1] != 6 {
-		t.Errorf("Delays = %v, want [2 6]", d)
-	}
-	if (Policy{MaxAttempts: 1, Factor: 1}).Delays(0) != nil {
-		t.Error("single-attempt policy has no delays")
+	q := Policy{MaxAttempts: 3, BaseDelaySec: 2, Factor: 3}
+	if d := []float64{q.DelaySec(0, 1), q.DelaySec(0, 2)}; d[0] != 2 || d[1] != 6 {
+		t.Errorf("delays = %v, want [2 6]", d)
 	}
 }
 
@@ -96,7 +93,7 @@ func TestDoRetriesThenSucceeds(t *testing.T) {
 	if calls != 3 || len(slept) != 2 {
 		t.Fatalf("calls %d sleeps %d, want 3 and 2", calls, len(slept))
 	}
-	want := p.Delays(7)
+	want := []float64{p.DelaySec(7, 1), p.DelaySec(7, 2)}
 	if slept[0] != want[0] || slept[1] != want[1] {
 		t.Errorf("sleeps %v, want prefix of %v", slept, want)
 	}

@@ -98,21 +98,6 @@ func TestMicroBatchReducesPeakTemp(t *testing.T) {
 	}
 }
 
-func TestFitsDevice(t *testing.T) {
-	in := validInput()
-	ok, util, err := FitsDevice(in, hardware.V100.MemoryBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// OPT-13b FP16 ≈26GB weights alone; 12 layers ≈ 7.4GB + KV + embed.
-	if !ok && util < 1 {
-		t.Errorf("inconsistent fit report: ok=%v util=%.2f", ok, util)
-	}
-	if util <= 0 {
-		t.Errorf("utilization %.3f", util)
-	}
-}
-
 func fitModelForTest(t *testing.T, gpu hardware.GPU, cfg model.Config) *LatencyModel {
 	t.Helper()
 	pts, err := profiler.ProfileGrid(gpu, cfg, 1)
@@ -158,22 +143,6 @@ func TestLatencyFidelityUnder6Percent(t *testing.T) {
 		if mre > 0.12 {
 			t.Errorf("%s: latency model mean relative error %.1f%% too high (paper <6%%)", gpu.Name, mre*100)
 		}
-	}
-}
-
-func TestPredictStageSumsLayers(t *testing.T) {
-	m := fitModelForTest(t, hardware.V100, model.OPT13B)
-	one, err := m.PredictLayer(profiler.Workload{Batch: 8, Prompt: 512, Prefill: true, Bits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := []int{16, 16, 16, 16}
-	four, err := m.PredictStage(bits, 8, 512, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(four-4*one) > 1e-9 {
-		t.Errorf("stage prediction %.6g != 4 × layer %.6g", four, one)
 	}
 }
 

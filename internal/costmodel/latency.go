@@ -151,22 +151,6 @@ func (m *LatencyModel) PredictLayer(w profiler.Workload) (float64, error) {
 	return reg.predict(f, mo), nil
 }
 
-// PredictStage sums layer predictions for a shard: the paper's "latency of
-// a model shard is the sum of the latencies of all involved decoder layers
-// with respect to their precisions."
-func (m *LatencyModel) PredictStage(layerBits []int, batch, prompt, context int, prefill bool) (float64, error) {
-	var total float64
-	for _, bits := range layerBits {
-		w := profiler.Workload{Batch: batch, Prompt: prompt, Context: context, Prefill: prefill, Bits: bits}
-		t, err := m.PredictLayer(w)
-		if err != nil {
-			return 0, err
-		}
-		total += t
-	}
-	return total, nil
-}
-
 // MeanRelativeError evaluates the fitted model on held-out points.
 func (m *LatencyModel) MeanRelativeError(pts []profiler.Point) (float64, error) {
 	if len(pts) == 0 {

@@ -109,13 +109,3 @@ func peakTemp(cfg model.Config, microBatch, prompt int) float64 {
 	// Framework allocator slack.
 	return (act + scores) * 1.15
 }
-
-// FitsDevice reports whether the stage fits in capacityBytes and the
-// utilization fraction.
-func FitsDevice(in MemoryInput, capacityBytes float64) (bool, float64, error) {
-	br, err := StageMemory(in)
-	if err != nil {
-		return false, 0, err
-	}
-	return br.Total <= capacityBytes, br.Total / capacityBytes, nil
-}

@@ -60,6 +60,10 @@ func TestDecodeStateViolations(t *testing.T) {
 			&Record{Type: RecRound, Seq: 2, Round: &RoundRecord{Watermark: -1}})},
 		{"round unadopted epoch", "unadopted epoch 1", enc(plan0(),
 			&Record{Type: RecRound, Seq: 2, Round: &RoundRecord{Epoch: 1, Watermark: 1}})},
+		{"round negative epoch", "superseded epoch -1", enc(plan0(),
+			&Record{Type: RecRound, Seq: 2, Round: &RoundRecord{Epoch: -1, Watermark: 3}})},
+		{"round superseded epoch", "superseded epoch 0", enc(plan0(), epoch(2, 1, shrink),
+			&Record{Type: RecRound, Seq: 3, Round: &RoundRecord{Epoch: 0, Watermark: 3}})},
 		{"epoch without transition", "plan epoch 1 without a transition", enc(plan0(), epoch(2, 1, nil))},
 		{"epoch 0 with transition", "epoch-0 plan with a transition", enc(epoch(1, 0, shrink))},
 		{"transition with loss and halt", "exactly one of a loss and a restore halt", enc(plan0(),

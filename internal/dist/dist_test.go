@@ -18,6 +18,7 @@ import (
 	"repro/internal/indicator"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/profiler"
 	rt "repro/internal/runtime"
 )
 
@@ -506,16 +507,29 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 }
 
+// gatedTimer is the roofline timer held until release closes, so a
+// worker cannot finish the job before the test has done its part.
+type gatedTimer struct{ release <-chan struct{} }
+
+func (g gatedTimer) Layer(gpu hardware.GPU, cfg model.Config, w profiler.Workload) (float64, error) {
+	<-g.release
+	return assigner.ProfilerTimer{}.Layer(gpu, cfg, w)
+}
+
 // TestRejoinTokenGuardsName: a second worker claiming an admitted name
-// without the rejoin token is turned away.
+// without the rejoin token is turned away. The legitimate worker's
+// evaluations are gated until the squatter returns, so the job cannot
+// finish and close the coordinator before the squatter's handshake.
 func TestRejoinTokenGuardsName(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ln := listen(t)
+	release := make(chan struct{})
 	join := startWorkers(ctx, 1, ln.Addr().String(), func(i int, cfg *WorkerConfig) {
 		cfg.Name = "only"
+		cfg.Timer = gatedTimer{release}
 	})
 	attached := make(chan struct{})
 	var attachOnce sync.Once
@@ -545,6 +559,7 @@ func TestRejoinTokenGuardsName(t *testing.T) {
 		Name: "only", Connect: ln.Addr().String(),
 		Retry: retry.Policy{MaxAttempts: 1, BaseDelaySec: 0.01, Factor: 2, MaxDelaySec: 0.1},
 	})
+	close(release)
 	if err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Errorf("squatter should be rejected, got %v", err)
 	}

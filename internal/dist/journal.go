@@ -143,8 +143,9 @@ func corrupt(index int, format string, args ...any) error {
 
 // DecodeState decodes and semantically validates replayed journal
 // payloads. Any structural violation — bad JSON, unknown type, missing
-// payload, sequence break, epoch disorder, a transition missing from (or
-// present at) an epoch, a restore with no shrink to undo — returns a
+// payload, sequence break, epoch disorder, a round of any epoch but the
+// current one, a transition missing from (or present at) an epoch, a
+// restore with no shrink to undo — returns a
 // *journal.CorruptJournalError (with the record index as the offset),
 // never a panic.
 func DecodeState(records [][]byte) (*RecoveredState, error) {
@@ -225,6 +226,9 @@ func DecodeState(records [][]byte) (*RecoveredState, error) {
 			}
 			if r.Epoch >= len(st.Plans) {
 				return nil, corrupt(i, "round record for unadopted epoch %d", r.Epoch)
+			}
+			if r.Epoch < len(st.Plans)-1 {
+				return nil, corrupt(i, "round record for superseded epoch %d", r.Epoch)
 			}
 			st.LastRound = r
 		case RecRecover:

@@ -23,15 +23,6 @@ type Cluster struct {
 // NumDevices returns the device count.
 func (c Cluster) NumDevices() int { return len(c.Devices) }
 
-// TotalMemoryBytes sums usable memory across devices.
-func (c Cluster) TotalMemoryBytes() float64 {
-	var t float64
-	for _, d := range c.Devices {
-		t += d.GPU.MemoryBytes()
-	}
-	return t
-}
-
 // HourlyUSD sums the cluster's on-demand price.
 func (c Cluster) HourlyUSD() float64 {
 	var t float64
@@ -59,16 +50,6 @@ func (c Cluster) LinkBetween(a, b Device) Link {
 		return NVLink
 	}
 	return c.InterNode
-}
-
-// Heterogeneous reports whether the cluster mixes GPU types.
-func (c Cluster) Heterogeneous() bool {
-	for _, d := range c.Devices[1:] {
-		if d.GPU.Name != c.Devices[0].GPU.Name {
-			return true
-		}
-	}
-	return false
 }
 
 // mk builds a cluster from (gpu, count) pairs, assigning one node per GPU

@@ -115,12 +115,7 @@ var gpuCatalog = map[string]GPU{
 func GPUByName(name string) (GPU, error) {
 	g, ok := gpuCatalog[name]
 	if !ok {
-		names := make([]string, 0, len(gpuCatalog))
-		for n := range gpuCatalog {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return GPU{}, fmt.Errorf("hardware: unknown GPU %q (have %v)", name, names)
+		return GPU{}, fmt.Errorf("hardware: unknown GPU %q (have %v)", name, GPUNames())
 	}
 	return g, nil
 }

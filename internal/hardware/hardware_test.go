@@ -4,6 +4,25 @@ import (
 	"testing"
 )
 
+// totalMemoryBytes sums usable memory across devices.
+func totalMemoryBytes(c Cluster) float64 {
+	var t float64
+	for _, d := range c.Devices {
+		t += d.GPU.MemoryBytes()
+	}
+	return t
+}
+
+// heterogeneous reports whether the cluster mixes GPU types.
+func heterogeneous(c Cluster) bool {
+	for _, d := range c.Devices[1:] {
+		if d.GPU.Name != c.Devices[0].GPU.Name {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCatalogComplete(t *testing.T) {
 	for _, name := range []string{"T4", "P100", "V100", "A100-40G", "A800-80G"} {
 		g, err := GPUByName(name)
@@ -70,8 +89,8 @@ func TestTable3Clusters(t *testing.T) {
 		if c.NumDevices() != wantDevices[id] {
 			t.Errorf("cluster %d: %d devices, want %d", id, c.NumDevices(), wantDevices[id])
 		}
-		if c.Heterogeneous() != wantHetero[id] {
-			t.Errorf("cluster %d: heterogeneous=%v, want %v", id, c.Heterogeneous(), wantHetero[id])
+		if heterogeneous(c) != wantHetero[id] {
+			t.Errorf("cluster %d: heterogeneous=%v, want %v", id, heterogeneous(c), wantHetero[id])
 		}
 	}
 	if _, err := ClusterByID(12); err == nil {
@@ -87,7 +106,7 @@ func TestModelFitsClusterScale(t *testing.T) {
 	for id := 1; id <= 11; id++ {
 		c, _ := ClusterByID(id)
 		weights := paramsB[c.ModelName] * 1e9 * 2 // FP16 bytes
-		mem := c.TotalMemoryBytes()
+		mem := totalMemoryBytes(c)
 		if weights < 0.4*mem || weights > 3.0*mem {
 			t.Errorf("cluster %d: model %s weights %.0fGB vs memory %.0fGB out of expected band",
 				id, c.ModelName, weights/1e9, mem/1e9)
@@ -115,14 +134,15 @@ func TestNewCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumDevices() != 4 || !c.Heterogeneous() {
+	if c.NumDevices() != 4 || !heterogeneous(c) {
 		t.Errorf("bad custom cluster: %+v", c)
 	}
 	if _, err := NewCluster([]string{"T4"}, []int{1, 2}, NVLink, "x"); err == nil {
 		t.Error("expected mismatch error")
 	}
-	if _, err := NewCluster([]string{"Z9"}, []int{1}, NVLink, "x"); err == nil {
-		t.Error("expected unknown GPU error")
+	const unknown = `hardware: unknown GPU "Z9" (have [A100-40G A800-80G P100 T4 V100])`
+	if _, err := NewCluster([]string{"Z9"}, []int{1}, NVLink, "x"); err == nil || err.Error() != unknown {
+		t.Errorf("unknown GPU error %v, want %q", err, unknown)
 	}
 	if _, err := NewCluster([]string{"T4"}, []int{0}, NVLink, "x"); err == nil {
 		t.Error("expected nonpositive count error")

@@ -184,15 +184,3 @@ func solveRelaxation(p *Problem, nd node) (lp.Result, error) {
 	}
 	return lp.Solve(&sub)
 }
-
-// Binary returns an n-length Integer mask (all true) and Upper (all 1),
-// convenience for pure 0/1 programs.
-func Binary(n int) ([]bool, []float64) {
-	ints := make([]bool, n)
-	ups := make([]float64, n)
-	for i := range ints {
-		ints[i] = true
-		ups[i] = 1
-	}
-	return ints, ups
-}

@@ -10,9 +10,21 @@ import (
 	"repro/internal/lp"
 )
 
+// binary returns an n-length Integer mask (all true) and Upper (all 1),
+// convenience for pure 0/1 programs.
+func binary(n int) ([]bool, []float64) {
+	ints := make([]bool, n)
+	ups := make([]float64, n)
+	for i := range ints {
+		ints[i] = true
+		ups[i] = 1
+	}
+	return ints, ups
+}
+
 func TestKnapsack(t *testing.T) {
 	// max 10a+6b+4c s.t. a+b+c≤2 (binary) → min -(…); best {a,b} = 16.
-	ints, ups := Binary(3)
+	ints, ups := binary(3)
 	p := &Problem{
 		C:       []float64{-10, -6, -4},
 		Aub:     [][]float64{{1, 1, 1}},
@@ -70,7 +82,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 }
 
 func TestInfeasibleMILP(t *testing.T) {
-	ints, ups := Binary(2)
+	ints, ups := binary(2)
 	// a+b = 3 with binaries is infeasible.
 	p := &Problem{
 		C:       []float64{1, 1},
@@ -111,7 +123,7 @@ func TestEqualityPartitionLike(t *testing.T) {
 		mem[2*l] = 4
 		mem[2*l+1] = 1
 	}
-	ints, ups := Binary(nv)
+	ints, ups := binary(nv)
 	p := &Problem{C: c, Aub: [][]float64{mem}, Bub: []float64{6}, Aeq: aeq, Beq: beq, Integer: ints, Upper: ups}
 	r, err := Solve(p, 0)
 	if err != nil {
@@ -137,7 +149,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 			wts[j] = rng.Float64()*4 + 1
 		}
 		cap := 10.0
-		ints, ups := Binary(n)
+		ints, ups := binary(n)
 		p := &Problem{C: c, Aub: [][]float64{wts}, Bub: []float64{cap}, Integer: ints, Upper: ups}
 		r, err := Solve(p, 0)
 		if err != nil {
@@ -174,7 +186,7 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 		c[j] = -rng.Float64()
 		wts[j] = rng.Float64() + 0.1
 	}
-	ints, ups := Binary(n)
+	ints, ups := binary(n)
 	p := &Problem{C: c, Aub: [][]float64{wts}, Bub: []float64{3}, Integer: ints, Upper: ups}
 	r, err := Solve(p, 2*time.Millisecond)
 	if err != nil && err != ErrNoIncumbent {
@@ -202,7 +214,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestNodesCounted(t *testing.T) {
-	ints, ups := Binary(4)
+	ints, ups := binary(4)
 	p := &Problem{
 		C:       []float64{-3, -5, -4, -1},
 		Aub:     [][]float64{{2, 3, 2, 1}},
@@ -223,7 +235,7 @@ func TestNodesCounted(t *testing.T) {
 // one Problem; under -race it proves the call-confined branch-and-bound
 // contract that concurrent order-workers in the assigner rely on.
 func TestSolveConcurrent(t *testing.T) {
-	ints, ups := Binary(3)
+	ints, ups := binary(3)
 	p := &Problem{
 		C:       []float64{-10, -6, -4},
 		Aub:     [][]float64{{1, 1, 1}},

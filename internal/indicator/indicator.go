@@ -201,56 +201,3 @@ func Synthetic(cfg model.Config, bits []int, seed int64) Omega {
 	}
 	return o
 }
-
-// SpearmanCorrelation computes rank correlation between two indicators at a
-// given bitwidth — used to validate that the cheap variance indicator
-// orders layers like the expensive Hessian probe (Table 6's "same PPL").
-func SpearmanCorrelation(a, b Omega, bits int) (float64, error) {
-	if a.Layers() != b.Layers() {
-		return 0, fmt.Errorf("indicator: layer count mismatch %d vs %d", a.Layers(), b.Layers())
-	}
-	n := a.Layers()
-	if n < 2 {
-		return 0, fmt.Errorf("indicator: need ≥2 layers")
-	}
-	va := make([]float64, n)
-	vb := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x, err := a.At(i, bits)
-		if err != nil {
-			return 0, err
-		}
-		y, err := b.At(i, bits)
-		if err != nil {
-			return 0, err
-		}
-		va[i], vb[i] = x, y
-	}
-	ra := ranks(va)
-	rb := ranks(vb)
-	var d2 float64
-	for i := range ra {
-		d := ra[i] - rb[i]
-		d2 += d * d
-	}
-	nf := float64(n)
-	return 1 - 6*d2/(nf*(nf*nf-1)), nil
-}
-
-func ranks(v []float64) []float64 {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort by value (n is small).
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && v[idx[j]] < v[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	r := make([]float64, len(v))
-	for rank, i := range idx {
-		r[i] = float64(rank)
-	}
-	return r
-}

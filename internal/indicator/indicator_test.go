@@ -1,6 +1,7 @@
 package indicator
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,6 +12,59 @@ import (
 )
 
 var bits = []int{3, 4, 8, 16}
+
+// spearmanCorrelation computes rank correlation between two indicators at a
+// given bitwidth — used to validate that the cheap variance indicator
+// orders layers like the expensive Hessian probe (Table 6's "same PPL").
+func spearmanCorrelation(a, b Omega, bits int) (float64, error) {
+	if a.Layers() != b.Layers() {
+		return 0, fmt.Errorf("indicator: layer count mismatch %d vs %d", a.Layers(), b.Layers())
+	}
+	n := a.Layers()
+	if n < 2 {
+		return 0, fmt.Errorf("indicator: need ≥2 layers")
+	}
+	va := make([]float64, n)
+	vb := make([]float64, n)
+	for i := 0; i < n; i++ {
+		x, err := a.At(i, bits)
+		if err != nil {
+			return 0, err
+		}
+		y, err := b.At(i, bits)
+		if err != nil {
+			return 0, err
+		}
+		va[i], vb[i] = x, y
+	}
+	ra := ranks(va)
+	rb := ranks(vb)
+	var d2 float64
+	for i := range ra {
+		d := ra[i] - rb[i]
+		d2 += d * d
+	}
+	nf := float64(n)
+	return 1 - 6*d2/(nf*(nf*nf-1)), nil
+}
+
+func ranks(v []float64) []float64 {
+	idx := make([]int, len(v))
+	for i := range idx {
+		idx[i] = i
+	}
+	// Insertion sort by value (n is small).
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && v[idx[j]] < v[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	r := make([]float64, len(v))
+	for rank, i := range idx {
+		r[i] = float64(rank)
+	}
+	return r
+}
 
 func calibratedModel(t *testing.T, layers int) (*nn.Model, [][]int) {
 	t.Helper()
@@ -106,7 +160,7 @@ func TestHessianProbeAgreesWithVarianceOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rho, err := SpearmanCorrelation(v, h, 3)
+	rho, err := spearmanCorrelation(v, h, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +279,7 @@ func TestOmegaErrors(t *testing.T) {
 	if _, err := o.Total([]int{4}); err == nil {
 		t.Error("expected assignment length error")
 	}
-	if _, err := SpearmanCorrelation(o, Random(5, bits, 2), 4); err == nil {
+	if _, err := spearmanCorrelation(o, Random(5, bits, 2), 4); err == nil {
 		t.Error("expected layer mismatch error")
 	}
 }

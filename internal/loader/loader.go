@@ -106,39 +106,6 @@ func Monolithic(r Resources, shardBytes float64) (Plan, error) {
 	return Load(r, shardBytes, shardBytes)
 }
 
-// OptimalChunk sweeps power-of-two granularities between minChunk and the
-// shard size, returning the plan minimizing load time with DRAM no larger
-// than dramCapBytes (0 = unconstrained).
-func OptimalChunk(r Resources, shardBytes, minChunk, dramCapBytes float64) (Plan, error) {
-	if minChunk <= 0 {
-		minChunk = 1 << 20
-	}
-	var best Plan
-	found := false
-	for c := minChunk; ; c *= 2 {
-		if c > shardBytes {
-			c = shardBytes
-		}
-		p, err := Load(r, shardBytes, c)
-		if err != nil {
-			return Plan{}, err
-		}
-		if dramCapBytes <= 0 || p.PeakDRAM <= dramCapBytes {
-			if !found || p.LoadTime < best.LoadTime {
-				best = p
-				found = true
-			}
-		}
-		if c >= shardBytes {
-			break
-		}
-	}
-	if !found {
-		return Plan{}, fmt.Errorf("loader: no granularity fits DRAM cap %.0f bytes", dramCapBytes)
-	}
-	return best, nil
-}
-
 // RecoveryTime estimates restarting a single failed pipeline stage:
 // reload that stage's shard at the given granularity. With module-level
 // chunks the failed worker streams back to service without the full-model

@@ -58,27 +58,6 @@ func TestTooFineChunksPayOverhead(t *testing.T) {
 	}
 }
 
-func TestOptimalChunkRespectsDRAMCap(t *testing.T) {
-	shard := 20 * gb
-	free, err := OptimalChunk(DefaultResources, shard, 1<<20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := OptimalChunk(DefaultResources, shard, 1<<20, 512e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.PeakDRAM > 512e6 {
-		t.Errorf("cap violated: %.0fMB", capped.PeakDRAM/1e6)
-	}
-	if capped.LoadTime < free.LoadTime-1e-9 {
-		t.Error("constrained optimum cannot beat unconstrained")
-	}
-	if _, err := OptimalChunk(DefaultResources, shard, 1<<30, 1e6); err == nil {
-		t.Error("expected no-fit error for impossible DRAM cap")
-	}
-}
-
 func TestRecoveryFasterThanFullReload(t *testing.T) {
 	// One stage of a 4-stage deployment recovers ~4x faster than reloading
 	// the whole model — the §5 recovery-speed claim.

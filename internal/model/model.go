@@ -39,9 +39,6 @@ type Config struct {
 	TiedEmbed bool
 }
 
-// HeadDim returns the per-head dimension.
-func (c Config) HeadDim() int { return c.Hidden / c.Heads }
-
 // LayerParams returns the parameter count of one decoder layer:
 // QKV + output projections (4·h²), the two MLP matrices (2·h·ffn),
 // their biases, and two LayerNorms.

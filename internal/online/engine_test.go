@@ -196,8 +196,8 @@ func TestOpenLoopShedThenRecover(t *testing.T) {
 	if ran, err := e.StepOnce(); err != nil || !ran {
 		t.Fatalf("first step ran=%v err=%v", ran, err)
 	}
-	if e.Running() != 1 {
-		t.Fatalf("running %d, want 1", e.Running())
+	if len(e.running) != 1 {
+		t.Fatalf("running %d, want 1", len(e.running))
 	}
 	// r2 waits (MaxBatch 1); r3 finds the queue at the watermark.
 	if _, err := e.Submit(40, 8); err != nil {

@@ -514,9 +514,6 @@ func (e *Engine) Busy() bool {
 	return false
 }
 
-// Running is the current continuous-batch size.
-func (e *Engine) Running() int { return len(e.running) }
-
 // Waiting counts arrived-but-unadmitted (and unshed) requests.
 func (e *Engine) Waiting() int { return e.waitingNow() }
 

@@ -152,12 +152,3 @@ func ProfileGrid(gpu hardware.GPU, cfg model.Config, seed int64) ([]Point, error
 	}
 	return pts, nil
 }
-
-// ArithmeticIntensity returns FLOPs/byte for the workload — the quantity
-// the paper uses to show prefill is compute-bound and decode memory-bound.
-func ArithmeticIntensity(cfg model.Config, w Workload) (float64, error) {
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	return cfg.LayerFLOPs(w.shape(), w.Prefill) / cfg.LayerMOPs(w.shape(), w.Prefill, w.Bits, w.KVBitsOf()), nil
-}

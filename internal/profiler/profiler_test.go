@@ -9,6 +9,15 @@ import (
 	"repro/internal/model"
 )
 
+// arithmeticIntensity returns FLOPs/byte for the workload — the quantity
+// the paper uses to show prefill is compute-bound and decode memory-bound.
+func arithmeticIntensity(cfg model.Config, w Workload) (float64, error) {
+	if err := w.Validate(); err != nil {
+		return 0, err
+	}
+	return cfg.LayerFLOPs(w.shape(), w.Prefill) / cfg.LayerMOPs(w.shape(), w.Prefill, w.Bits, w.KVBitsOf()), nil
+}
+
 func TestWorkloadValidate(t *testing.T) {
 	bad := []Workload{
 		{Batch: 0, Prompt: 512, Prefill: true, Bits: 16},
@@ -30,11 +39,11 @@ func TestWorkloadValidate(t *testing.T) {
 func TestPrefillComputeBoundDecodeMemoryBound(t *testing.T) {
 	pre := Workload{Batch: 32, Prompt: 512, Prefill: true, Bits: 16}
 	dec := Workload{Batch: 32, Prompt: 512, Context: 512, Bits: 16}
-	aiPre, err := ArithmeticIntensity(model.OPT30B, pre)
+	aiPre, err := arithmeticIntensity(model.OPT30B, pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aiDec, err := ArithmeticIntensity(model.OPT30B, dec)
+	aiDec, err := arithmeticIntensity(model.OPT30B, dec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,9 +125,6 @@ func FuzzGroupwisePack(f *testing.F) {
 		if len(qt.Scales) != wantGroups || len(qt.Zeros) != wantGroups {
 			t.Fatalf("%v: %d scales / %d zeros for %d groups", scheme, len(qt.Scales), len(qt.Zeros), wantGroups)
 		}
-		if got, want := qt.MetadataBytes(), float64(2*wantGroups*2); got != want {
-			t.Fatalf("MetadataBytes %g, want %g", got, want)
-		}
 		maxLevel := int32(Levels(bits) - 1)
 		deq := qt.Dequantize()
 		for r := 0; r < rows; r++ {

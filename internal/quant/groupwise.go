@@ -180,12 +180,6 @@ func (t *GroupedTensor) Dequantize() []float64 {
 	return out
 }
 
-// MetadataBytes returns the per-tensor overhead of storing scales/zeros in
-// FP16 — the cost finer schemes pay (relevant to the memory model).
-func (t *GroupedTensor) MetadataBytes() float64 {
-	return float64(len(t.Scales)+len(t.Zeros)) * 2
-}
-
 // RoundTripGrouped quantizes and dequantizes under a scheme.
 func RoundTripGrouped(w []float64, rows, cols, bits int, scheme Scheme, groupSize int, r Rounding, rng *rand.Rand) ([]float64, error) {
 	t, err := QuantizeGrouped(w, rows, cols, bits, scheme, groupSize, r, rng)
@@ -193,30 +187,4 @@ func RoundTripGrouped(w []float64, rows, cols, bits int, scheme Scheme, groupSiz
 		return nil, err
 	}
 	return t.Dequantize(), nil
-}
-
-// SchemeErrorStats measures elementwise round-trip error under a scheme.
-func SchemeErrorStats(w []float64, rows, cols, bits int, scheme Scheme, groupSize int) (ErrorStats, error) {
-	t, err := QuantizeGrouped(w, rows, cols, bits, scheme, groupSize, Deterministic, nil)
-	if err != nil {
-		return ErrorStats{}, err
-	}
-	deq := t.Dequantize()
-	var sum, sumSq, maxAbs, maxScale float64
-	for i := range w {
-		e := deq[i] - w[i]
-		sum += e
-		sumSq += e * e
-		if a := math.Abs(e); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	for _, s := range t.Scales {
-		if s > maxScale {
-			maxScale = s
-		}
-	}
-	n := float64(len(w))
-	mean := sum / n
-	return ErrorStats{MeanErr: mean, VarErr: sumSq/n - mean*mean, MaxAbs: maxAbs, Scale: maxScale}, nil
 }

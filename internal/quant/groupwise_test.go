@@ -20,21 +20,47 @@ func outlierWeights(rows, cols int, rng *rand.Rand) []float64 {
 	return w
 }
 
+// schemeErrorStats measures elementwise round-trip error under a scheme.
+func schemeErrorStats(w []float64, rows, cols, bits int, scheme Scheme, groupSize int) (errorStats, error) {
+	t, err := QuantizeGrouped(w, rows, cols, bits, scheme, groupSize, Deterministic, nil)
+	if err != nil {
+		return errorStats{}, err
+	}
+	deq := t.Dequantize()
+	var sum, sumSq, maxAbs, maxScale float64
+	for i := range w {
+		e := deq[i] - w[i]
+		sum += e
+		sumSq += e * e
+		if a := math.Abs(e); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	for _, s := range t.Scales {
+		if s > maxScale {
+			maxScale = s
+		}
+	}
+	n := float64(len(w))
+	mean := sum / n
+	return errorStats{MeanErr: mean, VarErr: sumSq/n - mean*mean, MaxAbs: maxAbs, Scale: maxScale}, nil
+}
+
 func TestFinerSchemesReduceError(t *testing.T) {
 	// §7: AWQ/SpQR-style fine-grained scaling recovers accuracy. With
 	// outliers, per-channel must beat per-tensor, and group-wise must beat
 	// per-channel.
 	rng := rand.New(rand.NewSource(1))
 	w := outlierWeights(256, 64, rng)
-	pt, err := SchemeErrorStats(w, 256, 64, 4, PerTensor, 0)
+	pt, err := schemeErrorStats(w, 256, 64, 4, PerTensor, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := SchemeErrorStats(w, 256, 64, 4, PerChannel, 0)
+	pc, err := schemeErrorStats(w, 256, 64, 4, PerChannel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := SchemeErrorStats(w, 256, 64, 4, GroupWise, 32)
+	gw, err := schemeErrorStats(w, 256, 64, 4, GroupWise, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +125,7 @@ func TestMetadataCostGrowsWithFineness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb := tq.MetadataBytes()
+		mb := float64(len(tq.Scales)+len(tq.Zeros)) * 2
 		if mb <= prev {
 			t.Errorf("%v group=%d: metadata %.0fB not greater than coarser scheme %.0fB", tc.scheme, tc.group, mb, prev)
 		}

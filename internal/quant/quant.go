@@ -1,8 +1,8 @@
 // Package quant implements the weight-only symmetric quantization scheme of
 // the paper (§2.4): values are mapped to n-bit integers via a per-tensor
 // scale, using either deterministic (round-to-nearest) or stochastic
-// rounding. It also exposes the quantization-variance quantities of
-// Theorem 1 that feed the assigner's sensitivity indicator (§4.2).
+// rounding. Its tests check the rounding-variance bounds of Theorem 1
+// behind the assigner's sensitivity indicator (§4.2).
 //
 // Unlike the cost models, this package operates on real float data: the
 // reference transformer in internal/nn is quantized through it, so the
@@ -131,59 +131,4 @@ func RoundTrip(w []float64, rows, cols, bits int, r Rounding, rng *rand.Rand) ([
 		return nil, err
 	}
 	return t.Dequantize(), nil
-}
-
-// ErrorStats summarizes elementwise quantization error ŵ − w.
-type ErrorStats struct {
-	MeanErr float64
-	VarErr  float64
-	MaxAbs  float64
-	Scale   float64
-}
-
-// MeasureError quantizes w and reports error statistics. Used by tests to
-// validate Theorem 1's rounding-variance terms: deterministic rounding has
-// per-element error variance ≤ s²/4 (error in [−s/2, s/2]); stochastic
-// rounding is unbiased with variance ≤ s²/4, and for a uniformly
-// distributed fractional part E[var] = s²/6.
-func MeasureError(w []float64, rows, cols, bits int, r Rounding, rng *rand.Rand) (ErrorStats, error) {
-	t, err := Quantize(w, rows, cols, bits, r, rng)
-	if err != nil {
-		return ErrorStats{}, err
-	}
-	deq := t.Dequantize()
-	var sum, sumSq, maxAbs float64
-	for i := range w {
-		e := deq[i] - w[i]
-		sum += e
-		sumSq += e * e
-		if a := math.Abs(e); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	n := float64(len(w))
-	mean := sum / n
-	return ErrorStats{
-		MeanErr: mean,
-		VarErr:  sumSq/n - mean*mean,
-		MaxAbs:  maxAbs,
-		Scale:   t.Scale,
-	}, nil
-}
-
-// OutputVarianceBound returns the Theorem 1 upper bound on the *added*
-// variance of a linear operator's output W·X after weight-only quantization:
-//
-//	deterministic: D_W · s_W² · (1/4) · Var[X]
-//	stochastic:    D_W · s_W² · (1/6) · (E[X]² + Var[X])
-//
-// where D_W is the weight inner dimension and s_W the scale.
-func OutputVarianceBound(dW int, scale, meanX, varX float64, r Rounding) float64 {
-	d := float64(dW)
-	switch r {
-	case Stochastic:
-		return d * scale * scale / 6 * (meanX*meanX + varX)
-	default:
-		return d * scale * scale / 4 * varX
-	}
 }

@@ -15,11 +15,66 @@ func gaussian(n int, rng *rand.Rand, sigma float64) []float64 {
 	return w
 }
 
+// errorStats summarizes elementwise quantization error ŵ − w.
+type errorStats struct {
+	MeanErr float64
+	VarErr  float64
+	MaxAbs  float64
+	Scale   float64
+}
+
+// measureError quantizes w and reports error statistics, to validate
+// Theorem 1's rounding-variance terms: deterministic rounding has
+// per-element error variance ≤ s²/4 (error in [−s/2, s/2]); stochastic
+// rounding is unbiased with variance ≤ s²/4, and for a uniformly
+// distributed fractional part E[var] = s²/6.
+func measureError(w []float64, rows, cols, bits int, r Rounding, rng *rand.Rand) (errorStats, error) {
+	t, err := Quantize(w, rows, cols, bits, r, rng)
+	if err != nil {
+		return errorStats{}, err
+	}
+	deq := t.Dequantize()
+	var sum, sumSq, maxAbs float64
+	for i := range w {
+		e := deq[i] - w[i]
+		sum += e
+		sumSq += e * e
+		if a := math.Abs(e); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	n := float64(len(w))
+	mean := sum / n
+	return errorStats{
+		MeanErr: mean,
+		VarErr:  sumSq/n - mean*mean,
+		MaxAbs:  maxAbs,
+		Scale:   t.Scale,
+	}, nil
+}
+
+// outputVarianceBound returns the Theorem 1 upper bound on the *added*
+// variance of a linear operator's output W·X after weight-only quantization:
+//
+//	deterministic: D_W · s_W² · (1/4) · Var[X]
+//	stochastic:    D_W · s_W² · (1/6) · (E[X]² + Var[X])
+//
+// where D_W is the weight inner dimension and s_W the scale.
+func outputVarianceBound(dW int, scale, meanX, varX float64, r Rounding) float64 {
+	d := float64(dW)
+	switch r {
+	case Stochastic:
+		return d * scale * scale / 6 * (meanX*meanX + varX)
+	default:
+		return d * scale * scale / 4 * varX
+	}
+}
+
 func TestRoundTripErrorBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := gaussian(4096, rng, 0.02)
 	for _, bits := range []int{3, 4, 8, 16} {
-		st, err := MeasureError(w, 64, 64, bits, Deterministic, nil)
+		st, err := measureError(w, 64, 64, bits, Deterministic, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +91,7 @@ func TestHigherBitsLowerError(t *testing.T) {
 	w := gaussian(8192, rng, 0.02)
 	prev := math.Inf(1)
 	for _, bits := range []int{3, 4, 8, 16} {
-		st, err := MeasureError(w, 128, 64, bits, Deterministic, nil)
+		st, err := measureError(w, 128, 64, bits, Deterministic, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +108,7 @@ func TestTheorem1DeterministicVarianceBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := gaussian(1<<15, rng, 0.05)
 	for _, bits := range []int{3, 4, 8} {
-		st, err := MeasureError(w, 1<<9, 1<<6, bits, Deterministic, nil)
+		st, err := measureError(w, 1<<9, 1<<6, bits, Deterministic, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +130,7 @@ func TestTheorem1StochasticUnbiasedAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := gaussian(1<<15, rng, 0.05)
 	for _, bits := range []int{4, 8} {
-		st, err := MeasureError(w, 1<<9, 1<<6, bits, Stochastic, rng)
+		st, err := measureError(w, 1<<9, 1<<6, bits, Stochastic, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +153,8 @@ func TestStochasticNoisierThanDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := gaussian(1<<14, rng, 0.05)
 	for _, bits := range []int{4, 8} {
-		det, _ := MeasureError(w, 1<<8, 1<<6, bits, Deterministic, nil)
-		sto, _ := MeasureError(w, 1<<8, 1<<6, bits, Stochastic, rng)
+		det, _ := measureError(w, 1<<8, 1<<6, bits, Deterministic, nil)
+		sto, _ := measureError(w, 1<<8, 1<<6, bits, Stochastic, rng)
 		if sto.VarErr < det.VarErr {
 			t.Errorf("bits=%d: stochastic var %.3g < deterministic %.3g", bits, sto.VarErr, det.VarErr)
 		}
@@ -109,8 +164,8 @@ func TestStochasticNoisierThanDeterministic(t *testing.T) {
 func TestOutputVarianceBoundFormula(t *testing.T) {
 	d, s := 1024, 0.01
 	varX, meanX := 2.0, 3.0
-	det := OutputVarianceBound(d, s, meanX, varX, Deterministic)
-	sto := OutputVarianceBound(d, s, meanX, varX, Stochastic)
+	det := outputVarianceBound(d, s, meanX, varX, Deterministic)
+	sto := outputVarianceBound(d, s, meanX, varX, Stochastic)
 	wantDet := float64(d) * s * s / 4 * varX
 	wantSto := float64(d) * s * s / 6 * (meanX*meanX + varX)
 	if math.Abs(det-wantDet) > 1e-12 {
@@ -151,7 +206,7 @@ func TestOutputVarianceBoundEmpirical(t *testing.T) {
 		}
 		m := sum / float64(trials)
 		v := sumSq/float64(trials) - m*m
-		bound := OutputVarianceBound(cols, tq.Scale, meanX, varX, r)
+		bound := outputVarianceBound(cols, tq.Scale, meanX, varX, r)
 		if v > bound*1.35 { // MC slack
 			t.Errorf("%v: empirical added var %.4g exceeds Theorem 1 bound %.4g", r, v, bound)
 		}

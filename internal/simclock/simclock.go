@@ -64,9 +64,6 @@ func (c *Clock) Now() float64 { return c.now }
 // Fired returns the number of events processed so far.
 func (c *Clock) Fired() int { return c.fired }
 
-// Pending returns the number of scheduled events not yet fired.
-func (c *Clock) Pending() int { return len(c.events) }
-
 // At schedules fn at absolute virtual time t (must not precede Now).
 func (c *Clock) At(t float64, fn func()) error {
 	if t < c.now {

@@ -1,7 +1,6 @@
-// Package workload generates the paper's serving workloads: offline
-// batches with padded prompts and fixed generation length (§2.3, §6.1),
-// and the ShareGPT-style prompt-length distribution used to motivate
-// phase-aware planning (§2.1: "the prompt length varies substantially").
+// Package workload generates the ShareGPT-style prompt-length
+// distribution used to motivate phase-aware planning (§2.1: "the prompt
+// length varies substantially").
 package workload
 
 import (
@@ -9,43 +8,6 @@ import (
 	"math"
 	"math/rand"
 )
-
-// Offline is a deterministic offline serving task (the paper's target
-// setting: prompt length and generation number known ahead of time).
-type Offline struct {
-	Batch    int
-	Prompt   int // padded prompt length
-	Generate int // tokens generated per request
-}
-
-// NewOffline validates and builds an offline workload.
-func NewOffline(batch, prompt, generate int) (Offline, error) {
-	if batch <= 0 || prompt <= 0 || generate <= 0 {
-		return Offline{}, fmt.Errorf("workload: all fields must be positive (%d,%d,%d)", batch, prompt, generate)
-	}
-	return Offline{Batch: batch, Prompt: prompt, Generate: generate}, nil
-}
-
-// TotalTokens returns the number of generated tokens the task produces.
-func (o Offline) TotalTokens() int { return o.Batch * o.Generate }
-
-// Prompts materializes token ID prompts (padded to Prompt length) over a
-// vocabulary, reproducible by seed.
-func (o Offline) Prompts(vocab int, seed int64) ([][]int, error) {
-	if vocab < 2 {
-		return nil, fmt.Errorf("workload: vocab %d too small", vocab)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]int, o.Batch)
-	for i := range out {
-		p := make([]int, o.Prompt)
-		for j := range p {
-			p[j] = rng.Intn(vocab)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
 
 // ShareGPTLengths samples n prompt lengths from a heavy-tailed mixture
 // calibrated to the ShareGPT conversation statistics the paper samples:

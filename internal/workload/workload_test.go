@@ -5,47 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewOfflineValidation(t *testing.T) {
-	if _, err := NewOffline(0, 512, 100); err == nil {
-		t.Error("expected batch error")
-	}
-	w, err := NewOffline(32, 512, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.TotalTokens() != 3200 {
-		t.Errorf("total tokens %d", w.TotalTokens())
-	}
-}
-
-func TestPromptsShapeAndDeterminism(t *testing.T) {
-	w, _ := NewOffline(4, 16, 10)
-	a, err := w.Prompts(100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := w.Prompts(100, 7)
-	if len(a) != 4 {
-		t.Fatalf("%d prompts", len(a))
-	}
-	for i := range a {
-		if len(a[i]) != 16 {
-			t.Fatalf("prompt %d length %d", i, len(a[i]))
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("prompts not reproducible")
-			}
-			if a[i][j] < 0 || a[i][j] >= 100 {
-				t.Fatalf("token %d out of vocab", a[i][j])
-			}
-		}
-	}
-	if _, err := w.Prompts(1, 7); err == nil {
-		t.Error("expected vocab error")
-	}
-}
-
 func TestShareGPTDistributionShape(t *testing.T) {
 	// §2.1: prompt lengths vary substantially, with a large share of short
 	// (<128) prompts and a heavy tail.
