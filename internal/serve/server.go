@@ -134,7 +134,9 @@ func (s *Server) SimRegistry() *obs.Registry { return s.opts.Sim }
 // CtrlRegistry is the wall-clock HTTP metrics registry.
 func (s *Server) CtrlRegistry() *obs.Registry { return s.opts.Ctrl }
 
-// EngineStats snapshots the serving simulation's statistics.
+// EngineStats snapshots the serving simulation's statistics. Like
+// online.Engine.Stats it costs O(requests finished) under the scheduler
+// lock, so it is for tests and the drain report, never a request path.
 func (s *Server) EngineStats() online.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,16 +353,17 @@ func (s *Server) retryAfterLocked() int {
 	return sec
 }
 
-// meta snapshots the llmpq response-metadata block for one request.
+// meta snapshots the llmpq response-metadata block for one request. It
+// reads only O(1) engine counters, so its cost does not grow with the
+// requests served.
 func (s *Server) meta(req *online.Request) *Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.eng.Stats()
 	m := &Meta{
 		Bits:             s.eng.Bits(),
-		Downshifts:       st.Downshifts,
+		Downshifts:       s.eng.Downshifts(),
 		KVCapacityTokens: s.eng.KVCapacityTok(),
-		PeakBatch:        st.PeakBatch,
+		PeakBatch:        s.eng.PeakBatch(),
 		DegradationTier:  s.eng.DegradationTier(),
 		Healing:          s.eng.Healing(),
 	}

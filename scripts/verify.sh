@@ -251,12 +251,27 @@ for run in 1 2; do
 done
 python3 -m json.tool "$obsdir/serve1/completion.json" > /dev/null 2>&1 || {
     echo "verify.sh: completion response is not valid JSON" >&2; exit 1; }
-grep -q '"finish_reason": *"length"' "$obsdir/serve1/completion.json"
+grep -q '"finish_reason": *"length"' "$obsdir/serve1/completion.json" || {
+    echo "verify.sh: completion did not finish on its max_tokens length" >&2; exit 1; }
 grep -q 'llmpq_serve_http_requests_total' "$obsdir/serve1/metrics.prom" || {
     echo "verify.sh: ctrl registry missing wall-clock HTTP families" >&2; exit 1; }
-grep -q 'llmpq_online_completed_total' "$obsdir/serve1/metrics.prom"
+grep -q 'llmpq_online_completed_total' "$obsdir/serve1/metrics.prom" || {
+    echo "verify.sh: /metrics missing the sim-side llmpq_online_* families" >&2; exit 1; }
 diff "$obsdir/serve1/sim.prom" "$obsdir/serve2/sim.prom" || {
     echo "verify.sh: serve sim registry is not deterministic across identical runs" >&2; exit 1; }
+# The llmpq metadata block is sim-side state (id and created are wall
+# clock), so it must match across the two identically seeded runs.
+for run in 1 2; do
+    python3 -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1]))["llmpq"], sort_keys=True))' \
+        "$obsdir/serve$run/completion.json" > "$obsdir/serve$run/llmpq.json" || {
+        echo "verify.sh: completion response carries no llmpq block" >&2; exit 1; }
+    grep '^llmpq-serve: drained:' "$obsdir/serve$run/stdout.txt" > "$obsdir/serve$run/drained.txt" || {
+        echo "verify.sh: llmpq-serve printed no drain report" >&2; exit 1; }
+done
+diff "$obsdir/serve1/llmpq.json" "$obsdir/serve2/llmpq.json" || {
+    echo "verify.sh: completion llmpq block differs across identical runs" >&2; exit 1; }
+diff "$obsdir/serve1/drained.txt" "$obsdir/serve2/drained.txt" || {
+    echo "verify.sh: llmpq-serve drain report differs across identical runs" >&2; exit 1; }
 grep -q 'llmpq_online_completed_total' "$obsdir/serve1/sim.prom"
 if grep -q 'llmpq_serve_' "$obsdir/serve1/sim.prom"; then
     echo "verify.sh: wall-clock llmpq_serve_* families leaked into the sim artifact" >&2; exit 1
