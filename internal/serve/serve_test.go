@@ -240,25 +240,19 @@ func TestCompletionStream(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsBatch drives four concurrent streaming clients
-// and checks they decode inside ONE continuous batch: the engine's peak
-// step batch must reach the client count, and every stream still gets
-// its full token budget.
-func TestConcurrentClientsBatch(t *testing.T) {
-	const clients = 4
-	srv, ts := newTestServer(t, func(o *Options) {
-		// A wider hold keeps the batch window open while the clients dial.
-		o.StepHold = 5 * time.Millisecond
-	})
+// streamClients runs n concurrent streaming completions of maxTokens
+// tokens each and returns their parsed streams in client order.
+func streamClients(t *testing.T, url string, n, maxTokens int) []sseStream {
+	t.Helper()
 	var wg sync.WaitGroup
-	streams := make([]sseStream, clients)
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
+	streams := make([]sseStream, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"prompt": "client %d asks for tokens", "max_tokens": 16, "stream": true}`, i)
-			resp, err := http.Post(ts.URL+"/v1/completions", "application/json", strings.NewReader(body))
+			body := fmt.Sprintf(`{"prompt": "client %d asks for tokens", "max_tokens": %d, "stream": true}`, i, maxTokens)
+			resp, err := http.Post(url+"/v1/completions", "application/json", strings.NewReader(body))
 			if err != nil {
 				errs[i] = err
 				return
@@ -277,6 +271,20 @@ func TestConcurrentClientsBatch(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	return streams
+}
+
+// TestConcurrentClientsBatch drives four concurrent streaming clients
+// and checks they decode inside ONE continuous batch: the engine's peak
+// step batch must reach the client count, and every stream still gets
+// its full token budget.
+func TestConcurrentClientsBatch(t *testing.T) {
+	const clients = 4
+	srv, ts := newTestServer(t, func(o *Options) {
+		// A wider hold keeps the batch window open while the clients dial.
+		o.StepHold = 5 * time.Millisecond
+	})
+	streams := streamClients(t, ts.URL, clients, 16)
 	for i, st := range streams {
 		if st.tokens() != 16 || !st.done {
 			t.Errorf("client %d: %d tokens, done=%v, want 16/true", i, st.tokens(), st.done)
