@@ -37,7 +37,7 @@ verify-race:
 # Coverage gate: aggregate statement coverage over ./internal/... must not
 # drop below COVER_FLOOR (percent, measured when the gate was introduced;
 # raise it when coverage improves, never lower it to make a PR pass).
-COVER_FLOOR := 88.9
+COVER_FLOOR := 89.2
 .PHONY: cover
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...

@@ -27,6 +27,7 @@ func TestManifestMetricRoles(t *testing.T) {
 		// The coordinator journal and reattach families are wall-clock
 		// control-plane state.
 		{"llmpq_journal_appends_total", RoleCtrl},
+		{"llmpq_journal_append_seconds", RoleCtrl},
 		{"llmpq_journal_replayed_records", RoleCtrl},
 		{"llmpq_dist_reattach_total", RoleCtrl},
 		{"unrelated_family", RoleUnknown},

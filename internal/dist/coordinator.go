@@ -279,8 +279,10 @@ type coordinator struct {
 	mu      sync.Mutex
 	members map[string]*member
 	owners  []*member // stage index → serving member
-	payload *PlanPayload
-	tokens  int
+	// tokens is the mint counter, live rather than folded: a mint is
+	// journaled only after its welcome is sent, so concurrent admits can
+	// append out of ordinal order. Recovery seeds it from the fold's MaxOrd.
+	tokens int
 
 	joinOnce sync.Once
 	joined   chan struct{}
@@ -289,16 +291,10 @@ type coordinator struct {
 	pending map[uint64]chan *Message
 	idSeq   atomic.Uint64
 
-	// Durable state (nil jnl = journaling off; nil recovered = fresh).
-	jnl       *coordJournal
-	recovered *RecoveredState
-	// epoch/startRound/baseDurable describe the current plan: epoch 0 is
-	// the configured strategy, each replan increments; startRound is the
-	// watermark the epoch runs from and baseDurable the tokens credited
-	// before it.
-	epoch       int
-	startRound  int
-	baseDurable int
+	// jnl holds the durable state: the current epoch, its payload and
+	// resume point, and the Result are read only from its fold.
+	jnl *coordJournal
+	tap func(durable)
 
 	// calls counts completed remote evaluations (CoordFailAfter seam).
 	calls atomic.Int64
@@ -326,6 +322,11 @@ type coordinator struct {
 // Config.JournalDir the run is durable; with Config.Recover it resumes
 // a crashed predecessor from its journal.
 func Serve(ctx context.Context, cfg Config) (*Result, error) {
+	return serve(ctx, cfg, nil)
+}
+
+// serve is Serve with a tap on the durable state after each append.
+func serve(ctx context.Context, cfg Config, tap func(durable)) (*Result, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("dist: coordinator needs a listener")
 	}
@@ -347,19 +348,17 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	co := &coordinator{
 		cfg:     cfg,
 		members: make(map[string]*member),
-		payload: NewPlanPayload(cfg.Spec, cfg.Plan),
 		joined:  make(chan struct{}),
 		pending: make(map[uint64]chan *Message),
+		tap:     tap,
 	}
 	if cfg.Obs != nil {
 		co.stageCalls = cfg.Obs.Counter("llmpq_dist_stage_calls_total")
 	}
-	if cfg.JournalDir != "" {
-		if err := co.openJournal(); err != nil {
-			return nil, err
-		}
-		defer co.jnl.close()
+	if err := co.openJournal(); err != nil {
+		return nil, err
 	}
+	defer co.jnl.close()
 	co.ctx, co.cancel = context.WithCancel(ctx)
 	defer co.cancel()
 	defer co.closeConns()
@@ -373,15 +372,12 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	if len(live) == 0 {
 		return nil, fmt.Errorf("dist: no live workers after the membership barrier")
 	}
-	co.mu.Lock()
-	curPlan := co.payload.Plan
-	co.mu.Unlock()
+	curPlan := co.jnl.state().current().Payload.Plan
 	co.assignStages(curPlan, live)
 	co.setWorkersGauge(len(live))
 	cfg.Logf("membership complete: %d workers, %d stages", len(live), curPlan.NumStages())
 
-	res, cur := co.replayed()
-	err := co.run(res, cur)
+	res, err := co.run()
 	switch {
 	case errors.Is(err, ErrInjectedCoordCrash):
 		return nil, err
@@ -393,21 +389,23 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// openJournal creates a fresh journal (adopting epoch 0) or, under
-// Recover, replays and continues the existing one.
+// openJournal starts the durable state adopting epoch 0, written when
+// Config.JournalDir is set, or under Recover folds and continues the journal.
 func (co *coordinator) openJournal() error {
 	path := filepath.Join(co.cfg.JournalDir, JournalFile)
 	if !co.cfg.Recover {
-		if err := os.MkdirAll(co.cfg.JournalDir, 0o755); err != nil {
-			return fmt.Errorf("dist: journal dir: %w", err)
+		var w *journal.Writer
+		if co.cfg.JournalDir != "" {
+			if err := os.MkdirAll(co.cfg.JournalDir, 0o755); err != nil {
+				return fmt.Errorf("dist: journal dir: %w", err)
+			}
+			var err error
+			if w, err = journal.Create(path); err != nil {
+				return err
+			}
 		}
-		w, err := journal.Create(path)
-		if err != nil {
-			return err
-		}
-		co.jnl = newCoordJournal(w, co.cfg.CtrlObs)
-		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(0, co.payload, nil, 0, 0)})
-		return co.jnl.Err()
+		co.jnl = newCoordJournal(w, durable{}, co.cfg.CtrlObs, co.tap)
+		return co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(nil, nil)})
 	}
 	w, rep, err := journal.Continue(path)
 	if err != nil {
@@ -418,30 +416,38 @@ func (co *coordinator) openJournal() error {
 		_ = w.Close() //llmpq:allow(errdrop): recovery is failing anyway; the decode error is the one to report
 		return fmt.Errorf("dist: recover: %w", err)
 	}
-	co.ctrlAdd("llmpq_journal_replayed_records", float64(st.Records))
+	if ctrl := co.cfg.CtrlObs; ctrl != nil {
+		ctrl.Counter("llmpq_journal_replayed_records").Add(float64(st.Records))
+	}
 	if rep.TornBytes > 0 {
 		co.ctrlInc("llmpq_journal_torn_tail_total")
 		co.cfg.Logf("journal: truncated a %d-byte torn tail (the crash landed mid-append)", rep.TornBytes)
 	}
-	if err := co.seedRecovered(st); err != nil {
+	if err := co.seedMembers(st); err != nil {
 		_ = w.Close() //llmpq:allow(errdrop): recovery is failing anyway; the seed error is the one to report
 		return err
 	}
-	co.jnl = newCoordJournal(w, co.cfg.CtrlObs)
-	co.jnl.seq = st.Records
-	co.jnl.append(&Record{Type: RecRecover, Recover: &RecoverRecord{Replayed: st.Records, TornBytes: rep.TornBytes}})
+	co.jnl = newCoordJournal(w, *st, co.cfg.CtrlObs, co.tap)
+	err = co.jnl.append(&Record{Type: RecRecover, Recover: &RecoverRecord{Replayed: st.Records, TornBytes: rep.TornBytes}})
 	co.cfg.Logf("recovered journal: %d records, epoch %d, %d members, watermark round %d",
-		st.Records, co.epoch, len(st.Members), co.startRound)
-	return co.jnl.Err()
+		st.Records, st.current().Epoch, len(st.Members), st.StartRound)
+	return err
 }
 
-// planRecord builds a PlanRecord with the solve-cache provenance of the
-// moment.
-func (co *coordinator) planRecord(epoch int, payload *PlanPayload, tr *TransitionRecord, startRound, durable int) *PlanRecord {
-	pr := &PlanRecord{
-		Epoch: epoch, Payload: payload, Transition: tr,
-		StartRound: startRound, DurableTokens: durable,
-		StrategyHash: co.cfg.StrategyHash,
+// planRecord adopts the configured strategy as epoch 0 (nil out), or out's
+// plan and its transition for workers as the next epoch, with the
+// solve-cache provenance of the moment.
+func (co *coordinator) planRecord(out *failover.Outcome, workers []string) *PlanRecord {
+	pr := &PlanRecord{Payload: NewPlanPayload(co.cfg.Spec, co.cfg.Plan), StrategyHash: co.cfg.StrategyHash}
+	if out != nil {
+		pr.Epoch = co.jnl.state().current().Epoch + 1
+		pr.Payload = NewPlanPayload(out.Degraded, out.Plan)
+		pr.StartRound, pr.DurableTokens = out.StartRound, out.DurableTokens
+		pr.Transition = &TransitionRecord{Lost: out.Lost, Halt: out.Halt, Workers: workers, Devices: out.LostDevices,
+			MovedLayers: out.MovedLayers, Migration: out.Migration}
+		if out.Halt != nil {
+			pr.Transition.Devices = out.RestoredDevices
+		}
 	}
 	if c := co.cfg.Spec.Cache; c != nil {
 		stats := c.Stats()
@@ -451,10 +457,10 @@ func (co *coordinator) planRecord(epoch int, payload *PlanPayload, tr *Transitio
 	return pr
 }
 
-// seedRecovered loads a replayed journal into coordinator state:
-// membership (pre-marking the workers the journaled epochs leave lost),
-// the current plan epoch, and the watermark.
-func (co *coordinator) seedRecovered(st *RecoveredState) error {
+// seedMembers refuses a replayed journal this configuration cannot
+// resume, then seeds each journaled worker under its latest token, lost
+// while the epochs leave it lost. (Flap counts are not journaled.)
+func (co *coordinator) seedMembers(st *durable) error {
 	if st.Done {
 		return fmt.Errorf("dist: recover: the journal records a completed run; nothing to resume")
 	}
@@ -466,12 +472,9 @@ func (co *coordinator) seedRecovered(st *RecoveredState) error {
 	// The journaled epoch-0 payload must be byte-identical to the one
 	// this configuration derives: recovery resumes a run, it never
 	// adopts a foreign plan.
-	want, err := json.Marshal(co.payload)
-	if err != nil {
-		return err
-	}
-	got, err := json.Marshal(first.Payload)
-	if err != nil {
+	want, werr := json.Marshal(NewPlanPayload(co.cfg.Spec, co.cfg.Plan))
+	got, gerr := json.Marshal(first.Payload)
+	if err := errors.Join(werr, gerr); err != nil {
 		return err
 	}
 	if !bytes.Equal(want, got) {
@@ -480,48 +483,15 @@ func (co *coordinator) seedRecovered(st *RecoveredState) error {
 	if len(st.Members) > co.cfg.Workers {
 		return fmt.Errorf("dist: recover: journal holds %d members, config allows %d", len(st.Members), co.cfg.Workers)
 	}
-	// A shrink loses its worker; a later heal resurrects it, and it
-	// reattaches under its rotated token like any survivor. (Flap counts
-	// are not journaled — the tolerance budget resets with the coordinator
-	// process.)
-	gone := map[string]bool{}
-	for _, pr := range st.Plans[1:] {
-		for _, name := range pr.Transition.Workers {
-			gone[name] = pr.Transition.Lost != nil
-		}
-	}
 	now := time.Now()
 	for _, mr := range st.Members {
 		s := state{phase: detached, token: mr.Token, ord: mr.Ord, lastHeard: now}
-		if gone[mr.Name] {
+		if slices.Contains(st.Lost, mr.Name) {
 			s.phase = lost
 		}
 		co.members[mr.Name] = newMember(mr.Name, s)
-		if mr.Ord > co.tokens {
-			co.tokens = mr.Ord
-		}
 	}
-	cur := st.Plans[len(st.Plans)-1]
-	co.epoch = cur.Epoch
-	co.startRound = cur.StartRound
-	co.baseDurable = cur.DurableTokens
-	co.payload = cur.Payload
-	co.recovered = st
-	if co.epoch == 0 {
-		return nil // re-executed from round 0 (see run)
-	}
-	if lr := st.LastRound; lr != nil && lr.Epoch == co.epoch && lr.Watermark > co.startRound {
-		// The replanned epoch had already committed rounds before the
-		// crash; resume past them rather than re-earning their tokens.
-		co.startRound, co.baseDurable = lr.Watermark, lr.DurableTokens
-	}
-	if g := co.cfg.Spec.Work.Generate; co.startRound >= g {
-		// Every round was durable but the Done record never landed:
-		// re-run the final round (cheap, idempotent) so the engine has
-		// work to do and the stats stay well-formed.
-		co.startRound = g - 1
-		co.baseDurable = co.cfg.Spec.Work.GlobalBatch * co.startRound
-	}
+	co.tokens = st.MaxOrd
 	return nil
 }
 
@@ -537,7 +507,7 @@ func (co *coordinator) awaitMembership() error {
 	case <-co.joined:
 		return nil
 	case <-joinTimer.C:
-		if co.recovered != nil && len(co.membersWhere(state.attached)) >= 1 {
+		if co.cfg.Recover && len(co.membersWhere(state.attached)) >= 1 {
 			for _, m := range co.membersWhere(state.absent) {
 				if m.markLost() {
 					co.ctrlInc("llmpq_dist_lease_expiries_total")
@@ -555,42 +525,21 @@ func (co *coordinator) awaitMembership() error {
 	}
 }
 
-// replayed rebuilds the transition behind each journaled epoch as a
-// failover.Outcome and re-exports it (failover.Observe), so the recovered
-// run's sim registry still reports the epochs it resumes from. It returns
-// the result so far and the current epoch's outcome (nil at epoch 0, and
-// on a fresh start).
-func (co *coordinator) replayed() (*Result, *failover.Outcome) {
-	res := &Result{}
-	st := co.recovered
-	if st == nil {
-		return res, nil
-	}
-	var cur *failover.Outcome
-	for _, pr := range st.Plans[1:] {
-		t := pr.Transition
-		spec := *co.cfg.Spec
-		spec.Cluster = pr.Payload.Cluster
-		out := &failover.Outcome{
-			Lost: t.Lost, Halt: t.Halt, Degraded: &spec, Plan: pr.Payload.Plan,
-			MovedLayers: t.MovedLayers, Migration: t.Migration,
-			StartRound: pr.StartRound, DurableTokens: pr.DurableTokens,
-		}
-		if t.Halt != nil {
-			out.RestoredDevices = t.Devices
-			res.HealedWorkers = t.Workers
-		} else {
-			out.LostDevices = t.Devices
-			if len(t.Devices) > 0 {
-				out.LostDevice = t.Devices[0]
-			}
-			res.LostWorker = t.Workers[0]
-		}
-		failover.Observe(co.cfg.Obs, co.cfg.Spans, out)
-		res.Apply(out)
-		cur = out
-	}
-	return res, cur
+// leg is what the epoch loop carries between engine runs: the Result, the
+// next engine's start round and credited tokens, and cur, the running
+// epoch's transition. cur stays live because a restore diffs layer homes
+// against cur.OldID, which is not journaled; a recovered coordinator
+// never re-arms the heal, so it starts without one.
+type leg struct {
+	res         Result
+	cur         *failover.Outcome
+	start, base int
+}
+
+// leg snapshots the fold after an adoption, and at the start of the run.
+func (co *coordinator) leg(cur *failover.Outcome) leg {
+	st := co.jnl.state()
+	return leg{res: st.Result, cur: cur, start: st.StartRound, base: st.BaseDurable}
 }
 
 // run is the coordinator's epoch loop. Each pass runs the current epoch's
@@ -602,28 +551,31 @@ func (co *coordinator) replayed() (*Result, *failover.Outcome) {
 // loss and one restore.
 //
 // A fresh run and the recovery of a crash that predates any replan both
-// start at epoch 0 and round 0: the recovered case deliberately
-// re-executes the whole deterministic engine rather than resuming
-// mid-stream. Simulated time is virtual, so re-execution costs only wall
-// clock proportional to the event count, and it is the only way the final
-// artifacts (sim metrics, trace, stdout summary) come out byte-identical
-// to a run that never crashed. A crash after a replan cannot be
-// re-executed (the loss instant was wall-clock data), so seedRecovered
-// places the loop in the journaled epoch at its durable watermark
-// instead, and the recovered coordinator does not re-arm the heal.
-func (co *coordinator) run(res *Result, cur *failover.Outcome) error {
+// start at epoch 0 and round 0: re-executing the deterministic engine is
+// cheap in virtual time and is the only way the recovered artifacts come
+// out byte-identical to a run that never crashed. A crash after a replan
+// cannot be re-executed (the loss instant was wall-clock data), so the
+// loop starts in the folded epoch at its resume point, the journaled
+// transitions are re-exported (failover.Observe), and the heal is not
+// re-armed (DESIGN.md §14).
+func (co *coordinator) run() (*Result, error) {
 	cfg := co.cfg
+	for _, pr := range co.jnl.state().Plans[1:] {
+		failover.Observe(cfg.Obs, cfg.Spans, pr.outcome())
+	}
+	l := co.leg(nil)
 	armed := false
 	for {
-		spec, plan := cfg.Spec, cfg.Plan
-		if cur != nil {
-			spec, plan = cur.Degraded, cur.Plan
+		cur := co.jnl.state().current()
+		spec, plan := *cfg.Spec, cfg.Plan
+		if cur.Epoch > 0 {
+			spec.Cluster, plan = cur.Payload.Cluster, cur.Payload.Plan
 		}
-		eng, err := rt.NewEngine(spec, plan, cfg.Timer)
+		eng, err := rt.NewEngine(&spec, plan, cfg.Timer)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		eng.StartRound = co.startRound
+		eng.StartRound = l.start
 		eng.StageTimer = co.stageTime
 		eng.OnRoundCommit = co.onRoundCommit
 		eng.Obs, eng.Spans = cfg.Obs, cfg.Spans
@@ -634,25 +586,27 @@ func (co *coordinator) run(res *Result, cur *failover.Outcome) error {
 		var halt *rt.RestoreHaltError
 		switch {
 		case err == nil:
-			res.Finish(stats, co.baseDurable)
-			return co.finishJournal()
+			l.res.Finish(stats, l.base)
+			// Seal the journal, surfacing any error the run accumulated: a
+			// silently lossy journal must fail the run.
+			return &l.res, co.jnl.append(&Record{Type: RecDone})
 		case errors.Is(err, ErrInjectedCoordCrash):
-			return err
-		case errors.As(err, &lost) && !res.Replanned:
-			if cur, err = co.shrink(res, lost); err != nil {
-				return err
+			return nil, err
+		case errors.As(err, &lost) && !l.res.Replanned:
+			if l, err = co.shrink(lost); err != nil {
+				return nil, err
 			}
 			// Arm the heal for the first degraded epoch: the lost worker may
 			// rejoin mid-epoch, and once its lease has held for the dwell
 			// the next stage call halts this engine for the restore.
 			armed = cfg.Rejoin
 		case errors.As(err, &halt) && armed:
-			if cur, err = co.grow(res, cur, halt); err != nil {
-				return err
+			if l, err = co.grow(l, halt); err != nil {
+				return nil, err
 			}
 			armed = false
 		default:
-			return fmt.Errorf("dist: epoch %d run failed: %w", co.epoch, err)
+			return nil, fmt.Errorf("dist: epoch %d run failed: %w", cur.Epoch, err)
 		}
 	}
 }
@@ -661,13 +615,14 @@ func (co *coordinator) run(res *Result, cur *failover.Outcome) error {
 // not the stage: every device it served leaves in this one transition,
 // which re-solves and re-ships weights once instead of cascading through
 // a failover cycle per stage.
-func (co *coordinator) shrink(res *Result, lost *rt.DeviceLostError) (*failover.Outcome, error) {
+func (co *coordinator) shrink(lost *rt.DeviceLostError) (leg, error) {
 	cfg := co.cfg
 	drop := []int{lost.Device}
+	var name string
 	co.mu.Lock()
 	if lost.Stage < len(co.owners) {
 		dead := co.owners[lost.Stage]
-		res.LostWorker = dead.name
+		name = dead.name
 		for j, m := range co.owners {
 			if m == dead && cfg.Plan.Order[j] != lost.Device {
 				drop = append(drop, cfg.Plan.Order[j])
@@ -676,38 +631,39 @@ func (co *coordinator) shrink(res *Result, lost *rt.DeviceLostError) (*failover.
 	}
 	co.mu.Unlock()
 	cfg.Logf("worker %s lost (stage %d, devices %v) at %.3fs; replanning on survivors",
-		res.LostWorker, lost.Stage, drop, lost.AtSec)
+		name, lost.Stage, drop, lost.AtSec)
 	out, err := failover.Transition(cfg.Spec, cfg.Plan, cfg.Timer, nil, failover.Members(cfg.Spec.Cluster, drop...), lost, cfg.Obs, cfg.CtrlObs, cfg.Spans)
 	if err != nil {
-		return nil, err
+		return leg{}, err
 	}
-	res.Apply(out)
-	return out, co.adopt(out, []string{res.LostWorker}, nil)
+	return co.adopt(out, []string{name}, nil)
 }
 
 // grow answers the degraded epoch's restore halt: replan capacity back
 // onto the healed workers' devices (a full restore re-derives the
 // pre-loss plan).
 // When the healed worker vanished again between the halt and the replan,
-// the degraded epoch continues from the halt watermark instead.
-func (co *coordinator) grow(res *Result, cur *failover.Outcome, halt *rt.RestoreHaltError) (*failover.Outcome, error) {
+// the degraded epoch continues from the halt watermark instead. That
+// appends nothing, so the continuation's start round stays local to the
+// run.
+func (co *coordinator) grow(l leg, halt *rt.RestoreHaltError) (leg, error) {
 	cfg := co.cfg
 	healed := co.healedMembers()
 	if len(healed) == 0 {
 		cfg.Logf("restore halt at %.3fs found no stable healed worker; continuing degraded", halt.AtSec)
-		res.RestoreHalt = halt
-		co.startRound, co.baseDurable = halt.Watermark, halt.DurableTokens
-		return cur, nil
+		l.res.RestoreHalt = halt
+		l.start, l.base = halt.Watermark, halt.DurableTokens
+		return l, nil
 	}
-	out, err := failover.Transition(cfg.Spec, cfg.Plan, cfg.Timer, cur, failover.Members(cfg.Spec.Cluster), halt, cfg.Obs, cfg.CtrlObs, cfg.Spans)
+	out, err := failover.Transition(cfg.Spec, cfg.Plan, cfg.Timer, l.cur, failover.Members(cfg.Spec.Cluster), halt, cfg.Obs, cfg.CtrlObs, cfg.Spans)
 	if err != nil {
-		return nil, err
+		return l, err
 	}
-	res.Apply(out)
+	var names []string
 	for _, m := range healed {
-		res.HealedWorkers = append(res.HealedWorkers, m.name)
+		names = append(names, m.name)
 	}
-	return out, co.adopt(out, res.HealedWorkers, healed)
+	return co.adopt(out, names, healed)
 }
 
 // adopt makes a transition's plan the next epoch. The epoch and the
@@ -715,67 +671,39 @@ func (co *coordinator) grow(res *Result, cur *failover.Outcome, halt *rt.Restore
 // any worker acts on it: the transition's instant (a lease or dwell
 // expiry) is wall-clock data a recovered coordinator cannot re-derive.
 // workers names the lost worker or the healed ones. The healed members
-// then complete their join barrier — the new plan is what admits them
-// back to serving — and the other serving members follow.
-func (co *coordinator) adopt(out *failover.Outcome, workers []string, healed []*member) error {
+// complete their join barrier (the new plan admits them back to serving),
+// the other serving members follow, and the returned leg runs the epoch.
+func (co *coordinator) adopt(out *failover.Outcome, workers []string, healed []*member) (leg, error) {
 	others := co.membersWhere(state.serving)
 	serving := slices.Concat(others, healed)
 	sort.Slice(serving, func(i, j int) bool { return serving[i].name < serving[j].name })
 	if len(serving) == 0 {
-		return fmt.Errorf("dist: no surviving workers to resume on")
+		return leg{}, fmt.Errorf("dist: no surviving workers to resume on")
 	}
-	payload := NewPlanPayload(out.Degraded, out.Plan)
-	co.mu.Lock()
-	co.payload = payload
-	co.mu.Unlock()
-	co.epoch++
-	co.startRound, co.baseDurable = out.StartRound, out.DurableTokens
-	if co.jnl != nil {
-		tr := &TransitionRecord{
-			Lost: out.Lost, Halt: out.Halt, Workers: workers, Devices: out.LostDevices,
-			MovedLayers: out.MovedLayers, Migration: out.Migration,
-		}
-		if out.Halt != nil {
-			tr.Devices = out.RestoredDevices
-		}
-		co.jnl.append(&Record{Type: RecPlan, Plan: co.planRecord(co.epoch, payload, tr, out.StartRound, out.DurableTokens)})
-		if err := co.jnl.Err(); err != nil {
-			return err
-		}
+	pr := co.planRecord(out, workers)
+	if err := co.jnl.append(&Record{Type: RecPlan, Plan: pr}); err != nil {
+		return leg{}, err
 	}
 	for _, m := range slices.Concat(healed, others) {
-		if err := co.reconfigure(m, payload); err != nil {
-			return fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
+		if err := co.reconfigure(m, pr.Payload); err != nil {
+			return leg{}, fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
 		}
 		m.apply(event{kind: evPromote}, nil) // a no-op for the others
 	}
 	co.assignStages(out.Plan, serving)
 	co.setWorkersGauge(len(serving))
 	co.cfg.Logf("epoch %d: %d stages on %d workers (healed %d), %d layers migrate (%.0f bytes), resume round %d",
-		co.epoch, out.Plan.NumStages(), len(serving), len(healed), out.MovedLayers, out.Migration.TotalBytes, out.StartRound)
-	return nil
+		pr.Epoch, out.Plan.NumStages(), len(serving), len(healed), out.MovedLayers, out.Migration.TotalBytes, out.StartRound)
+	return co.leg(out), nil
 }
 
 // onRoundCommit is the Engine.OnRoundCommit callback: journal every
 // watermark advance so recovery can restore progress exactly.
 func (co *coordinator) onRoundCommit(watermark, durable, runTokens int) {
-	if co.jnl == nil {
-		return
-	}
 	co.jnl.append(&Record{Type: RecRound, Round: &RoundRecord{
-		Epoch: co.epoch, Watermark: watermark, DurableTokens: durable,
+		Epoch: co.jnl.state().current().Epoch, Watermark: watermark, DurableTokens: durable,
 		PrefillDone: true, RunTokens: runTokens,
 	}})
-}
-
-// finishJournal seals a completed run and surfaces any append error the
-// run accumulated — a silently lossy journal must fail the run.
-func (co *coordinator) finishJournal() error {
-	if co.jnl == nil {
-		return nil
-	}
-	co.jnl.append(&Record{Type: RecDone})
-	return co.jnl.Err()
 }
 
 // crash simulates sudden coordinator death for CoordFailAfter, leaving
@@ -790,9 +718,7 @@ func (co *coordinator) crash() {
 	}
 	_ = co.cfg.Listener.Close() //llmpq:allow(errdrop): a dying coordinator has no one left to tell
 	co.closeConns()
-	if co.jnl != nil {
-		co.jnl.close()
-	}
+	co.jnl.close()
 	co.cancel()
 }
 
@@ -1044,14 +970,11 @@ func (co *coordinator) handleConn(c net.Conn) {
 	if rec != nil {
 		token = rec.Token
 	}
-	co.mu.Lock()
-	payload := co.payload
-	co.mu.Unlock()
 	welcome := &Welcome{
 		Token:        token,
 		HeartbeatSec: co.cfg.Heartbeat.Seconds(),
 		LeaseSec:     co.cfg.Lease.Seconds(),
-		Plan:         payload,
+		Plan:         co.jnl.state().current().Payload,
 	}
 	if err := w.send(&Message{Type: MsgWelcome, Welcome: welcome}); err != nil {
 		w.close()
@@ -1063,7 +986,7 @@ func (co *coordinator) handleConn(c net.Conn) {
 	m.attach(w)
 	// Journal the mint only after the welcome went out: recovery must
 	// never hold a worker to a token it was never offered.
-	if rec != nil && co.jnl != nil {
+	if rec != nil {
 		co.jnl.append(&Record{Type: RecMember, Member: rec})
 	}
 	if h.Token != "" {
@@ -1140,7 +1063,7 @@ func (co *coordinator) admit(h *Hello) (*member, *MemberRecord, string, bool) {
 // journal knows", not the configured worker count.
 func (co *coordinator) maybeJoined() {
 	co.mu.Lock()
-	short := co.recovered == nil && len(co.members) < co.cfg.Workers
+	short := !co.cfg.Recover && len(co.members) < co.cfg.Workers
 	co.mu.Unlock()
 	if short || len(co.membersWhere(state.absent)) > 0 {
 		return
@@ -1250,11 +1173,5 @@ func (co *coordinator) setWorkersGauge(n int) {
 func (co *coordinator) ctrlInc(name string) {
 	if co.cfg.CtrlObs != nil {
 		co.cfg.CtrlObs.Counter(name).Inc()
-	}
-}
-
-func (co *coordinator) ctrlAdd(name string, v float64) {
-	if co.cfg.CtrlObs != nil {
-		co.cfg.CtrlObs.Counter(name).Add(v)
 	}
 }

@@ -78,6 +78,10 @@ func TestDecodeStateViolations(t *testing.T) {
 		{"second restore", "restore without an earlier shrink", enc(plan0(), epoch(2, 1, shrink),
 			epoch(3, 2, &TransitionRecord{Halt: halt, Workers: []string{"w"}}),
 			epoch(4, 3, &TransitionRecord{Halt: halt, Workers: []string{"w"}}))},
+		{"round tokens off the invariant", "round record credits 9 durable tokens at watermark 1, want 8", enc(plan0(),
+			&Record{Type: RecRound, Seq: 2, Round: &RoundRecord{Watermark: 1, DurableTokens: 9}})},
+		{"plan tokens off the invariant", "plan record credits 8 durable tokens at watermark 2, want 16", enc(plan0(),
+			&Record{Type: RecPlan, Seq: 2, Plan: &PlanRecord{Epoch: 1, Payload: payload, Transition: shrink, StartRound: 2, DurableTokens: 8}})},
 		// The retired transition records fail typed, with no migration.
 		{"replan without payload", `unknown record type "replan"`, enc(plan0(), &Record{Type: "replan", Seq: 2})},
 		{"restore without payload", `unknown record type "restore"`, enc(plan0(), &Record{Type: "restore", Seq: 2})},

@@ -30,12 +30,7 @@ func TestLostWorkerAdmitFence(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-	}
+	co := testCoordinator(t, cfg)
 
 	m, rec, rej, _ := co.admit(&Hello{Name: "w"})
 	if rej != "" || m == nil || rec == nil {
@@ -79,12 +74,7 @@ func TestRejoinAdmitStateMachine(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-	}
+	co := testCoordinator(t, cfg)
 	m, rec, rej, _ := co.admit(&Hello{Name: "w"})
 	if rej != "" {
 		t.Fatalf("fresh admit failed: %q", rej)
@@ -140,12 +130,7 @@ func TestRejoinRaceBeforeLeaseExpiry(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-	}
+	co := testCoordinator(t, cfg)
 	_, rec, rej, _ := co.admit(&Hello{Name: "w"})
 	if rej != "" {
 		t.Fatalf("fresh admit failed: %q", rej)
@@ -202,13 +187,8 @@ func TestSeedRecoveredHealResurrects(t *testing.T) {
 		t.Fatalf("restore not decoded: %+v", tr)
 	}
 	cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-	}
-	if err := co.seedRecovered(st); err != nil {
+	co := bareCoordinator(cfg)
+	if err := co.seedMembers(st); err != nil {
 		t.Fatal(err)
 	}
 	b := co.members["worker-b"]
@@ -224,8 +204,8 @@ func TestSeedRecoveredHealResurrects(t *testing.T) {
 	if token != "lease-3-worker-b" {
 		t.Errorf("worker-b token %q, want the rotated lease-3-worker-b", token)
 	}
-	if co.epoch != 2 || co.startRound != 6 || co.baseDurable != 48 {
-		t.Errorf("current epoch %d/%d/%d, want restored 2/6/48", co.epoch, co.startRound, co.baseDurable)
+	if epoch := st.current().Epoch; epoch != 2 || st.StartRound != 6 || st.BaseDurable != 48 {
+		t.Errorf("current epoch %d/%d/%d, want restored 2/6/48", epoch, st.StartRound, st.BaseDurable)
 	}
 }
 
@@ -281,12 +261,13 @@ func TestWorkerRejoinHeal(t *testing.T) {
 		})
 	}()
 
-	res, err := Serve(ctx, Config{
+	live := &foldTap{}
+	res, err := serve(ctx, Config{
 		Listener: ln, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 400 * time.Millisecond,
 		Rejoin: true, HealDwell: 50 * time.Millisecond,
 		JournalDir: dir, Obs: reg, CtrlObs: ctrl,
-	})
+	}, live.tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +317,7 @@ func TestWorkerRejoinHeal(t *testing.T) {
 		t.Errorf("worker-b rejoin exit: %v", bErr2)
 	}
 	checkHealJournal(t, dir, s, p)
+	checkLiveFold(t, dir, live)
 }
 
 // checkHealJournal replays a healed run's journal: epoch 1 is the shrink
@@ -371,13 +353,8 @@ func checkHealJournal(t *testing.T, dir string, s *assigner.Spec, p *assigner.Pl
 			continue
 		}
 		cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
-		co := &coordinator{
-			cfg:     cfg.withDefaults(),
-			members: make(map[string]*member),
-			payload: NewPlanPayload(s, p),
-			joined:  make(chan struct{}),
-		}
-		if err := co.seedRecovered(pst); err != nil {
+		co := bareCoordinator(cfg)
+		if err := co.seedMembers(pst); err != nil {
 			t.Fatalf("prefix of %d records: %v", n, err)
 		}
 		lost := false
@@ -400,33 +377,28 @@ func TestDegradedContinuationTotals(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p, Rejoin: true}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-	}
+	co := testCoordinator(t, cfg)
 	lost := &rt.DeviceLostError{Stage: 1, Device: p.Order[1], AtSec: 1.5, Watermark: 2, DurableTokens: 16, PrefillDone: true}
 	out, err := failover.Replan(s, p, nil, lost, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{}
-	res.Apply(out)
+	l := leg{cur: out}
+	l.res.Apply(out)
 	halt := &rt.RestoreHaltError{AtSec: 2, Watermark: 5, DurableTokens: 40, PrefillDone: true}
-	cur, err := co.grow(res, out, halt)
-	if err != nil {
+	if l, err = co.grow(l, halt); err != nil {
 		t.Fatal(err)
 	}
-	if cur != out || co.epoch != 0 {
-		t.Fatalf("no healed worker must continue the degraded epoch (epoch %d)", co.epoch)
+	res := &l.res
+	if epoch := co.jnl.state().current().Epoch; l.cur != out || epoch != 0 {
+		t.Fatalf("no healed worker must continue the degraded epoch (epoch %d)", epoch)
 	}
-	if co.startRound != halt.Watermark || co.baseDurable != halt.DurableTokens {
+	if l.start != halt.Watermark || l.base != halt.DurableTokens {
 		t.Errorf("continuation resumes at %d/%d, want the halt watermark %d/%d",
-			co.startRound, co.baseDurable, halt.Watermark, halt.DurableTokens)
+			l.start, l.base, halt.Watermark, halt.DurableTokens)
 	}
 	cont := rt.Stats{LatencySec: 3, TokensOut: 24}
-	res.Finish(cont, co.baseDurable)
+	res.Finish(cont, l.base)
 	if want := lost.AtSec + out.Migration.TransferSec + halt.AtSec + cont.LatencySec; res.TotalLatencySec != want {
 		t.Errorf("total latency %.6f, want %.6f (loss + migration + degraded time to the halt + continuation)",
 			res.TotalLatencySec, want)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/journal"
@@ -96,6 +97,26 @@ func FuzzJournalReplay(f *testing.F) {
 			var corrupt *journal.CorruptJournalError
 			if !errors.As(derr, &corrupt) {
 				t.Fatalf("decode error is not the typed corruption: %v", derr)
+			}
+			return
+		}
+		// A journal that decodes decodes at every prefix, to the state the
+		// fold holds after that many records.
+		var st durable
+		for k, raw := range rep.Records {
+			var rec Record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatalf("record %d: %v", k, err)
+			}
+			if st, err = fold(st, &rec); err != nil {
+				t.Fatalf("fold refuses record %d of a journal that decodes: %v", k, err)
+			}
+			pst, err := DecodeState(rep.Records[:k+1])
+			if err != nil {
+				t.Fatalf("prefix of %d records does not decode: %v", k+1, err)
+			}
+			if !reflect.DeepEqual(*pst, st) {
+				t.Fatalf("prefix of %d records decodes to\n%+v\nbut the fold holds\n%+v", k+1, *pst, st)
 			}
 		}
 	})

@@ -77,12 +77,13 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	joinRef := startWorkers(ctx, 2, lnRef.Addr().String(), func(i int, cfg *WorkerConfig) {
 		cfg.Retry = patientRetry
 	})
-	ref, err := Serve(ctx, Config{
+	refTap := &foldTap{}
+	ref, err := serve(ctx, Config{
 		Listener: lnRef, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 2 * time.Second,
 		JournalDir: refDir, StrategyHash: "fnv1a:test",
 		Obs: refReg,
-	})
+	}, refTap.tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +107,13 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	join := startWorkers(ctx, 2, addr, func(i int, cfg *WorkerConfig) {
 		cfg.Retry = patientRetry
 	})
-	_, err = Serve(ctx, Config{
+	live := &foldTap{}
+	_, err = serve(ctx, Config{
 		Listener: ln1, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 2 * time.Second,
 		JournalDir: dir, StrategyHash: "fnv1a:test",
 		CoordFailAfter: crashAt,
-	})
+	}, live.tap)
 	if !errors.Is(err, ErrInjectedCoordCrash) {
 		t.Fatalf("crash run returned %v, want ErrInjectedCoordCrash", err)
 	}
@@ -127,12 +129,12 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	ctrl2 := obs.NewRegistry()
 	ln2 := rebind(t, addr)
-	res, err := Serve(ctx, Config{
+	res, err := serve(ctx, Config{
 		Listener: ln2, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 2 * time.Second,
 		JournalDir: dir, Recover: true, StrategyHash: "fnv1a:test",
 		Obs: reg2, CtrlObs: ctrl2,
-	})
+	}, live.tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +160,8 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	if len(fin.Members) != 2 {
 		t.Errorf("journal holds %d members, want 2", len(fin.Members))
 	}
+	checkLiveFold(t, refDir, refTap)
+	checkLiveFold(t, dir, live)
 	for i, werr := range join() {
 		if werr != nil {
 			t.Errorf("worker %d exit: %v", i, werr)
@@ -166,7 +170,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 }
 
 // replayDir decodes the journal under dir.
-func replayDir(t *testing.T, dir string) *RecoveredState {
+func replayDir(t *testing.T, dir string) *durable {
 	t.Helper()
 	rep, err := journal.ReplayFile(filepath.Join(dir, JournalFile))
 	if err != nil {
@@ -236,11 +240,12 @@ func TestCrashAfterReplanRecovery(t *testing.T) {
 			cfg.FailAfterCalls = workerDiesAt
 		}
 	})
-	_, err = Serve(ctx, Config{
+	live := &foldTap{}
+	_, err = serve(ctx, Config{
 		Listener: ln1, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 400 * time.Millisecond,
 		JournalDir: dir, CoordFailAfter: totalCalls - 2,
-	})
+	}, live.tap)
 	if !errors.Is(err, ErrInjectedCoordCrash) {
 		t.Fatalf("crash run returned %v, want ErrInjectedCoordCrash", err)
 	}
@@ -253,12 +258,12 @@ func TestCrashAfterReplanRecovery(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	ctrl2 := obs.NewRegistry()
 	ln2 := rebind(t, addr)
-	res, err := Serve(ctx, Config{
+	res, err := serve(ctx, Config{
 		Listener: ln2, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 2 * time.Second,
 		JournalDir: dir, Recover: true,
 		Obs: reg2, CtrlObs: ctrl2,
-	})
+	}, live.tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +282,7 @@ func TestCrashAfterReplanRecovery(t *testing.T) {
 	if v := ctrl2.Counter("llmpq_journal_replayed_records").Value(); v < 1 {
 		t.Errorf("replayed-records counter %.0f, want >= 1", v)
 	}
+	checkLiveFold(t, dir, live)
 	werrs := join()
 	if !errors.Is(werrs[1], ErrInjectedDeath) {
 		t.Errorf("worker-b should report injected death, got %v", werrs[1])
@@ -358,12 +364,7 @@ func TestAdmitCollisionAndRotation(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-	}
+	co := testCoordinator(t, cfg)
 
 	m1, rec1, rej, retryable := co.admit(&Hello{Name: "w"})
 	if rej != "" || m1 == nil || rec1 == nil {
@@ -430,20 +431,14 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(recover bool, ctrl *obs.Registry) *coordinator {
 		cfg := Config{Workers: 2, Spec: s, Plan: p, JournalDir: dir, Recover: recover, CtrlObs: ctrl}
-		return &coordinator{
-			cfg:     cfg.withDefaults(),
-			members: make(map[string]*member),
-			payload: NewPlanPayload(s, p),
-			joined:  make(chan struct{}),
-		}
+		return bareCoordinator(cfg)
 	}
 
 	co := mk(false, nil)
 	if err := co.openJournal(); err != nil {
 		t.Fatal(err)
 	}
-	co.jnl.append(&Record{Type: RecMember, Member: &MemberRecord{Name: "w", Token: "lease-1-w", Ord: 1}})
-	if err := co.jnl.Err(); err != nil {
+	if err := co.jnl.append(&Record{Type: RecMember, Member: &MemberRecord{Name: "w", Token: "lease-1-w", Ord: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	co.jnl.close()
@@ -471,14 +466,17 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	if v := ctrl.Counter("llmpq_journal_replayed_records").Value(); v != 2 {
 		t.Errorf("replayed-records counter %.0f, want 2", v)
 	}
-	if len(co2.recovered.Members) != 1 || co2.tokens != 1 {
-		t.Errorf("membership not reconstructed: %+v tokens=%d", co2.recovered.Members, co2.tokens)
+	if st := co2.jnl.state(); len(st.Members) != 1 || co2.tokens != 1 {
+		t.Errorf("membership not reconstructed: %+v tokens=%d", st.Members, co2.tokens)
 	}
-	co2.jnl.append(&Record{Type: RecDone})
-	if err := co2.jnl.Err(); err != nil {
+	if err := co2.jnl.append(&Record{Type: RecDone}); err != nil {
 		t.Fatal(err)
 	}
 	co2.jnl.close()
+	// The recover and done appends are each timed, fsync included.
+	if n := ctrl.Histogram("llmpq_journal_append_seconds", obs.TimeBuckets()).Count(); n != 2 {
+		t.Errorf("append histogram holds %d observations, want 2", n)
+	}
 
 	rep, err := journal.ReplayFile(path)
 	if err != nil {
@@ -505,12 +503,7 @@ func TestRecoverRefusesForeignJournal(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(recover bool, hash string, spec *assigner.Spec, plan *assigner.Plan) *coordinator {
 		cfg := Config{Workers: 2, Spec: spec, Plan: plan, JournalDir: dir, Recover: recover, StrategyHash: hash}
-		return &coordinator{
-			cfg:     cfg.withDefaults(),
-			members: make(map[string]*member),
-			payload: NewPlanPayload(spec, plan),
-			joined:  make(chan struct{}),
-		}
+		return bareCoordinator(cfg)
 	}
 	co := mk(false, "fnv1a:aaaa", s, p)
 	if err := co.openJournal(); err != nil {
@@ -640,13 +633,7 @@ func TestCrashRefusesRedial(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Listener: listen(t), Workers: 1, Spec: s, Plan: p}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-		pending: make(map[uint64]chan *Message),
-	}
+	co := testCoordinator(t, cfg)
 	co.ctx, co.cancel = context.WithCancel(context.Background())
 	defer co.cancel()
 
@@ -722,13 +709,7 @@ func TestWelcomePrecedesAttach(t *testing.T) {
 	s := distSpec(t)
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p}
-	co := &coordinator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*member),
-		payload: NewPlanPayload(s, p),
-		joined:  make(chan struct{}),
-		pending: make(map[uint64]chan *Message),
-	}
+	co := testCoordinator(t, cfg)
 	co.ctx, co.cancel = context.WithCancel(context.Background())
 	defer co.cancel()
 
