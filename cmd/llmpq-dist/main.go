@@ -11,10 +11,10 @@
 // With -role the same strategy runs as a real multi-process control
 // plane over TCP (DESIGN.md §11): one coordinator owning the
 // deterministic event loop plus per-stage worker processes evaluating
-// stage times remotely, with heartbeat/lease membership, per-round
-// deadlines, reconnect-with-backoff, and — on permanent worker loss —
-// an automatic replan-and-resume identical to the in-process failover
-// path:
+// stage times remotely — one batch per worker per round — with
+// heartbeat/lease membership, per-round deadlines,
+// reconnect-with-backoff, and — on permanent worker loss — an automatic
+// replan-and-resume identical to the in-process failover path:
 //
 //	llmpq-dist -role coordinator -strat-file strategy.json -listen :9380 -workers 2
 //	llmpq-dist -role worker -name w0 -connect 127.0.0.1:9380
@@ -66,7 +66,7 @@ func main() {
 		workers        = flag.Int("workers", 2, "worker count the coordinator waits for")
 		heartbeat      = flag.Duration("heartbeat", 500*time.Millisecond, "worker heartbeat interval")
 		lease          = flag.Duration("lease", 2*time.Second, "silence after which a worker is declared lost")
-		deadline       = flag.Duration("deadline", 10*time.Second, "per-round remote evaluation deadline")
+		deadline       = flag.Duration("deadline", 10*time.Second, "deadline for one worker's stage batch of a round; the batch is retried, then the run fails (negative disables)")
 		chaosProfile   = flag.String("chaos-profile", "", "inject a seeded fault profile (conn-drop | partition | net-delay | coord-crash)")
 		chaosSeed      = flag.Int64("chaos-seed", 1, "seed for -chaos-profile")
 		chaosHorizon   = flag.Float64("chaos-horizon", 5.0, "wall-clock horizon in seconds the profile places faults in")
@@ -74,7 +74,7 @@ func main() {
 		replanOut      = flag.String("replan-out", "", "write the post-replan degraded plan JSON here (empty when the run never replanned)")
 		journalDir     = flag.String("journal-dir", "", "append a durable CRC-framed journal of plan/membership/progress transitions under this directory")
 		recoverRun     = flag.Bool("recover", false, "replay the journal in -journal-dir and resume the crashed run instead of starting fresh")
-		coordFailAfter = flag.Int("coord-fail-after", 0, "SIGKILL the coordinator process after this many completed stage evaluations (crash-recovery demos; 0 = never)")
+		coordFailAfter = flag.Int("coord-fail-after", 0, "SIGKILL the coordinator process after it has answered this many engine stage calls (crash-recovery demos; 0 = never)")
 		ctrlMetricsOut = flag.String("ctrl-metrics-out", "", "write the wall-clock control-plane metrics dump here (journal/reattach/lease counters)")
 
 		// Heal (both roles): the coordinator opens the rejoin door, the
@@ -86,8 +86,8 @@ func main() {
 		// Worker role.
 		connect   = flag.String("connect", "127.0.0.1:9380", "coordinator address to join")
 		name      = flag.String("name", "", "stable worker name (required for -role worker)")
-		hold      = flag.Duration("hold", 0, "artificial wall delay per stage evaluation (paces demos)")
-		failAfter = flag.Int("fail-after", 0, "die after this many evaluations (failover demos; 0 = never)")
+		hold      = flag.Duration("hold", 0, "artificial wall delay per stage evaluation, so per task of a stage batch (paces demos)")
+		failAfter = flag.Int("fail-after", 0, "die instead of answering the stage batch that takes the worker past this many evaluations (failover demos; 0 = never)")
 	)
 	flag.Parse()
 

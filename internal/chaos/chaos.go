@@ -137,7 +137,7 @@ type Fault struct {
 	// KindNetDelay only — KindConnDrop needs a specific connection).
 	Conn int
 	// AfterFrames is the frame count after which KindConnDrop severs its
-	// connection (>= 1, counted over frames read server-side).
+	// connection (>= 1, counted over the frames it carries, both ways).
 	AfterFrames int
 	// AfterCalls is the completed-stage-call count after which
 	// KindCoordCrash kills the coordinator (>= 1).

@@ -43,12 +43,17 @@ type Config struct {
 	// permanently lost. A detached worker that reattaches within the
 	// lease resumes seamlessly. Default 4×Heartbeat.
 	Lease time.Duration
-	// RoundDeadline bounds each remote stage-time evaluation; the worker
-	// aborts and reports rather than answering late. 0 disables
-	// deadlines. Default 10s.
+	// RoundDeadline bounds each stage batch — one worker's share of one
+	// round — from the moment it is sent: a worker still evaluating at
+	// the deadline aborts the whole batch and reports rather than
+	// answering late, and the coordinator gives up on a batch left
+	// unanswered past deadline + Lease. 0 means the default, 10s; a
+	// negative value disables the deadline, and a batch then has a Lease
+	// to answer.
 	RoundDeadline time.Duration
-	// DeadlineRetries is how many aborted/timed-out evaluations of one
-	// task the coordinator retries before failing the run. Default 2.
+	// DeadlineRetries is how many times the coordinator re-sends one
+	// batch after an abort or an unanswered wait before it fails the run.
+	// Default 2.
 	DeadlineRetries int
 	// JoinTimeout bounds the initial membership barrier. Default 30s.
 	JoinTimeout time.Duration
@@ -87,8 +92,8 @@ type Config struct {
 	// came from; it is stamped into plan records and cross-checked on
 	// recovery so a journal cannot silently resume a different strategy.
 	StrategyHash string
-	// CoordFailAfter, when positive, crashes the coordinator after that
-	// many completed remote stage evaluations — the deterministic chaos
+	// CoordFailAfter, when positive, crashes the coordinator after it has
+	// answered that many engine stage calls — the deterministic chaos
 	// seam for recovery tests and -coord-fail-after. The crash goes
 	// through Die.
 	CoordFailAfter int
@@ -296,7 +301,7 @@ type coordinator struct {
 	jnl *coordJournal
 	tap func(durable)
 
-	// calls counts completed remote evaluations (CoordFailAfter seam).
+	// calls counts answered engine stage calls (CoordFailAfter seam).
 	calls atomic.Int64
 	// healArmed is set while the degraded epoch runs under Config.Rejoin:
 	// the first stage call that finds a dwell-stable rejoined worker
@@ -576,7 +581,10 @@ func (co *coordinator) run() (*Result, error) {
 			return nil, err
 		}
 		eng.StartRound = l.start
-		eng.StageTimer = co.stageTime
+		// A fresh buffer per engine run: stage indices are reused across
+		// epochs on other devices, so a time fetched under one plan must
+		// never answer a call under the next.
+		eng.StageTimer = (&stageBuffer{co: co, plan: plan, batch: spec.Work.GlobalBatch, times: map[stageKey][]float64{}}).stageTime
 		eng.OnRoundCommit = co.onRoundCommit
 		eng.Obs, eng.Spans = cfg.Obs, cfg.Spans
 		co.healArmed.Store(armed)
@@ -757,40 +765,92 @@ func (co *coordinator) closeConns() {
 	}
 }
 
-// stageTime is the Engine.StageTimer callback: evaluate one task on the
-// worker owning the stage, surviving detach windows and deadline
-// aborts, and converting a lease expiry into a StageLostError. While the
-// degraded epoch runs with heal armed, the first call that finds a
-// dwell-stable rejoined worker instead halts the engine with a
-// StageRestoreError so the restore replan can bring it back.
-func (co *coordinator) stageTime(stage, batch, round int, prefill bool) (float64, error) {
+// stageKey names one task; its stage time is a pure function of these
+// fields under a plan.
+type stageKey struct {
+	stage, batch, round int
+	prefill             bool
+}
+
+// stageBuffer answers one engine run's stage calls: each worker's share
+// of a round arrives in one stage batch and waits here, task by task.
+type stageBuffer struct {
+	co    *coordinator
+	plan  *assigner.Plan
+	batch int // the global batch the passes split
+	times map[stageKey][]float64
+}
+
+// stageTime is the Engine.StageTimer callback: answer one task from the
+// buffer, fetching the owning worker's share of the task's round on a
+// miss. While the degraded epoch runs with heal armed, the first call
+// that finds a dwell-stable rejoined worker instead halts the engine
+// with a StageRestoreError so the restore replan can bring it back.
+func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64, error) {
+	co := b.co
 	if co.healArmed.Load() && len(co.healedMembers()) > 0 && co.healArmed.CompareAndSwap(true, false) {
 		return 0, &rt.StageRestoreError{}
 	}
-	co.mu.Lock()
-	if stage >= len(co.owners) {
-		co.mu.Unlock()
-		return 0, fmt.Errorf("dist: stage %d has no assigned worker", stage)
+	k := stageKey{stage, batch, round, prefill}
+	if len(b.times[k]) == 0 {
+		if err := b.fetch(k); err != nil {
+			return 0, err
+		}
 	}
-	m := co.owners[stage]
-	co.mu.Unlock()
+	sec := b.times[k][0]
+	b.times[k] = b.times[k][1:]
+	if co.stageCalls != nil {
+		co.stageCalls.Inc()
+	}
+	// Injected-crash seam: dying on the Nth answered call is deterministic
+	// (the engine issues stage calls in virtual-time order), so recovery
+	// tests can crash at a reproducible point.
+	if n := co.cfg.CoordFailAfter; n > 0 && co.calls.Add(1) == int64(n) {
+		co.crash()
+		return 0, ErrInjectedCoordCrash
+	}
+	return sec, nil
+}
 
+// fetch has the worker owning k's stage evaluate its share of k's round —
+// every micro-batch of the pass on every stage it owns — and buffers the
+// answers. It survives detach windows (the batch is re-sent after the
+// reattach) and deadline aborts (re-sent up to DeadlineRetries times),
+// and turns a lease expiry into a StageLostError for k's stage.
+func (b *stageBuffer) fetch(k stageKey) error {
+	size := b.plan.DecodeMB
+	if k.prefill {
+		size = b.plan.PrefillMB
+	}
+	req := &StageBatch{Round: k.round, Prefill: k.prefill, Batches: rt.MicroBatches(b.batch, size)}
+	co := b.co
+	co.mu.Lock()
+	if k.stage >= len(co.owners) {
+		co.mu.Unlock()
+		return fmt.Errorf("dist: stage %d has no assigned worker", k.stage)
+	}
+	m := co.owners[k.stage]
+	for j, o := range co.owners {
+		if o == m {
+			req.Stages = append(req.Stages, j)
+		}
+	}
+	co.mu.Unlock()
 	aborts := 0
 	for {
 		w, err := m.awaitConn(co.ctx)
 		if errors.Is(err, errMemberLost) {
-			return 0, &rt.StageLostError{Stage: stage}
+			return &rt.StageLostError{Stage: k.stage}
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
 		id := co.idSeq.Add(1)
 		ch := co.register(id)
-		req := &StageTimeRequest{Stage: stage, Batch: batch, Round: round, Prefill: prefill}
 		if co.cfg.RoundDeadline > 0 {
 			req.DeadlineUnixNano = time.Now().Add(co.cfg.RoundDeadline).UnixNano()
 		}
-		if err := w.send(&Message{Type: MsgStageTime, ID: id, StageTime: req}); err != nil {
+		if err := w.send(&Message{Type: MsgStageBatch, ID: id, StageBatch: req}); err != nil {
 			co.unregister(id)
 			m.detachIf(w)
 			co.ctrlInc("llmpq_dist_stage_resends_total")
@@ -802,7 +862,7 @@ func (co *coordinator) stageTime(stage, batch, round int, prefill bool) (float64
 		msg, err := co.await(id, ch, m, w, co.cfg.RoundDeadline+co.cfg.Lease)
 		switch {
 		case errors.Is(err, errMemberLost):
-			return 0, &rt.StageLostError{Stage: stage}
+			return &rt.StageLostError{Stage: k.stage}
 		case errors.Is(err, errConnClosed):
 			co.ctrlInc("llmpq_dist_stage_resends_total")
 			continue
@@ -811,30 +871,24 @@ func (co *coordinator) stageTime(stage, batch, round int, prefill bool) (float64
 			// charge a deadline strike.
 			m.detachIf(w)
 		case err != nil:
-			return 0, err
+			return err
 		}
-		if err != nil || msg.StageTimeResult.Aborted {
+		if err != nil || msg.StageBatchResult.Aborted {
 			co.ctrlInc("llmpq_dist_deadline_aborts_total")
 			if aborts++; aborts > co.cfg.DeadlineRetries {
-				return 0, fmt.Errorf("dist: stage %d task exceeded its %s deadline %d times", stage, co.cfg.RoundDeadline, aborts)
+				return fmt.Errorf("dist: stage %d batch exceeded its %s deadline %d times", k.stage, co.cfg.RoundDeadline, aborts)
 			}
 			continue
 		}
-		res := msg.StageTimeResult
-		if res.Err != "" {
-			return 0, fmt.Errorf("dist: worker %s stage %d: %s", m.name, stage, res.Err)
+		res := msg.StageBatchResult
+		if res.Err != "" || len(res.Seconds) != req.tasks() {
+			return fmt.Errorf("dist: worker %s stage %d: %d of %d times (%s)", m.name, k.stage, len(res.Seconds), req.tasks(), res.Err)
 		}
-		if co.stageCalls != nil {
-			co.stageCalls.Inc()
+		for i, sec := range res.Seconds {
+			t := stageKey{req.Stages[i/len(req.Batches)], req.Batches[i%len(req.Batches)], k.round, k.prefill}
+			b.times[t] = append(b.times[t], sec)
 		}
-		// Injected-crash seam: dying on the Nth completed evaluation is
-		// deterministic (the engine issues stage calls in virtual-time
-		// order), so recovery tests can crash at a reproducible point.
-		if n := co.cfg.CoordFailAfter; n > 0 && co.calls.Add(1) == int64(n) {
-			co.crash()
-			return 0, ErrInjectedCoordCrash
-		}
-		return res.Seconds, nil
+		return nil
 	}
 }
 
@@ -1008,7 +1062,7 @@ func (co *coordinator) handleConn(c net.Conn) {
 		switch msg.Type {
 		case MsgHeartbeat:
 			co.ctrlInc("llmpq_dist_heartbeats_received_total")
-		case MsgStageTimeResult, MsgReconfigureOK:
+		case MsgStageBatchResult, MsgReconfigureOK:
 			co.route(msg)
 		case MsgBye:
 			m.detachIf(w)

@@ -16,8 +16,8 @@ import (
 // transport layer of every accepted connection:
 //
 //   - conn-drop severs the fault's accepted-connection ordinal after it
-//     has delivered AfterFrames complete frames — a frame count, not a
-//     timestamp, so the trigger point is deterministic;
+//     has carried AfterFrames complete frames, read or written — a frame
+//     count, not a timestamp, so the trigger point is deterministic;
 //   - partition makes reads and writes on matching connections fail
 //     during [AtSec, AtSec+DurationSec) measured from the wrap;
 //   - net-delay stalls each read on matching connections by DelaySec
@@ -80,10 +80,12 @@ func (fl *faultListener) Accept() (net.Conn, error) {
 	return fc, nil
 }
 
-// faultConn applies the matched faults to one accepted connection. The
-// embedded frame parser counts completed frames delivered to the
-// coordinator so a conn-drop severs at an exact, reproducible point in
-// the conversation.
+// faultConn applies the matched faults to one accepted connection. It
+// counts the complete frames the connection carries — the embedded
+// parser finds them in the read byte stream, and each write is one frame
+// (writeFrame) — so a conn-drop severs at an exact, reproducible point
+// in the conversation: the coordinator holds at most one request in
+// flight, so requests and answers alternate in a fixed order.
 type faultConn struct {
 	net.Conn
 	fl  *faultListener
@@ -93,6 +95,9 @@ type faultConn struct {
 	partitions []*chaos.Fault
 	delays     []*chaos.Fault
 
+	// mu guards the frame state: reads and writes run on different
+	// goroutines.
+	mu sync.Mutex
 	// Frame-parser state over the read byte stream.
 	hdr     [4]byte
 	hdrGot  int
@@ -107,7 +112,10 @@ func (fc *faultConn) elapsedSec() float64 { return time.Since(fc.fl.start).Secon
 // severed reports the injected fault that cuts the connection now: an
 // earlier conn-drop, or a matching partition window, which severs it.
 func (fc *faultConn) severed() error {
-	if fc.dropped {
+	fc.mu.Lock()
+	dropped := fc.dropped
+	fc.mu.Unlock()
+	if dropped {
 		return fmt.Errorf("dist: connection %d severed by injected conn-drop", fc.ord)
 	}
 	at := fc.elapsedSec()
@@ -135,14 +143,7 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 	}
 	n, err := fc.Conn.Read(p)
 	if n > 0 && fc.drop != nil {
-		fc.countFrames(p[:n])
-		if fc.frames >= fc.drop.AfterFrames {
-			fc.dropped = true
-			fc.trip(fc.fl.sim, "llmpq_dist_injected_conn_drops_total")
-			_ = fc.Conn.Close() //llmpq:allow(errdrop): fault injection severs the conn on purpose; the next use observes it
-			// The bytes already read are delivered; the very next use of
-			// the connection observes the severing.
-		}
+		fc.carried(func() { fc.countFrames(p[:n]) })
 	}
 	return n, err
 }
@@ -151,7 +152,25 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	if err := fc.severed(); err != nil {
 		return 0, err
 	}
-	return fc.Conn.Write(p)
+	n, err := fc.Conn.Write(p)
+	if err == nil && fc.drop != nil {
+		fc.carried(func() { fc.frames++ })
+	}
+	return n, err
+}
+
+// carried applies count to the frame state and severs the connection
+// once it has carried AfterFrames frames. The bytes already carried are
+// delivered; the very next use of the connection observes the severing.
+func (fc *faultConn) carried(count func()) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	count()
+	if fc.frames >= fc.drop.AfterFrames && !fc.dropped {
+		fc.dropped = true
+		fc.trip(fc.fl.sim, "llmpq_dist_injected_conn_drops_total")
+		_ = fc.Conn.Close() //llmpq:allow(errdrop): fault injection severs the conn on purpose; the next use observes it
+	}
 }
 
 // countFrames advances the frame parser over a read chunk.

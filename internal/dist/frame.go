@@ -19,7 +19,8 @@ import (
 // gigabytes.
 const MaxFrameBytes = 8 << 20
 
-// writeFrame emits one length-prefixed frame.
+// writeFrame emits one length-prefixed frame in a single Write: one
+// syscall, and one loopback segment under TCP_NODELAY.
 func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("dist: refusing to write an empty frame")
@@ -27,12 +28,8 @@ func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("dist: frame of %d bytes exceeds the %d-byte cap", len(payload), MaxFrameBytes)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err := w.Write(append(buf, payload...))
 	return err
 }
 

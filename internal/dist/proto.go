@@ -8,7 +8,9 @@
 // (spec, plan, stage, batch, round, phase), Go's JSON encoder
 // round-trips float64 exactly, and the coordinator keeps the entire
 // discrete-event simulation local — workers contribute values, never
-// scheduling decisions. Liveness is layered on top with worker→
+// scheduling decisions. Because every task of a round is known before
+// the round starts, a worker evaluates its whole share of a round in one
+// round trip (StageBatch). Liveness is layered on top with worker→
 // coordinator heartbeats and a lease: a worker that stays silent past
 // its lease is declared lost, which surfaces in the engine as a
 // runtime.StageLostError and drives the same failover.Transition →
@@ -25,7 +27,7 @@ import (
 
 // ProtocolVersion gates the handshake: a worker whose hello carries a
 // different version is rejected before it can join the membership.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MsgType discriminates the frames of the wire protocol.
 type MsgType string
@@ -43,11 +45,11 @@ const (
 	// MsgHeartbeat is the worker's periodic liveness beacon; any frame
 	// renews the lease, heartbeats exist to renew it when idle.
 	MsgHeartbeat MsgType = "heartbeat"
-	// MsgStageTime asks the worker to evaluate runtime.StageTime for one
-	// task, subject to a deadline.
-	MsgStageTime MsgType = "stagetime"
-	// MsgStageTimeResult answers a MsgStageTime with the same ID.
-	MsgStageTimeResult MsgType = "stagetime_result"
+	// MsgStageBatch asks the worker to evaluate runtime.StageTime for its
+	// whole share of one round, subject to one deadline.
+	MsgStageBatch MsgType = "stagebatch"
+	// MsgStageBatchResult answers a MsgStageBatch with the same ID.
+	MsgStageBatchResult MsgType = "stagebatch_result"
 	// MsgReconfigure ships a replacement plan payload after a failover
 	// replan.
 	MsgReconfigure MsgType = "reconfigure"
@@ -62,17 +64,17 @@ const (
 // matching Type is populated.
 type Message struct {
 	Type MsgType `json:"type"`
-	// ID correlates a request with its response (stagetime and
+	// ID correlates a request with its response (stagebatch and
 	// reconfigure round trips).
 	ID uint64 `json:"id,omitempty"`
 
-	Hello           *Hello            `json:"hello,omitempty"`
-	Welcome         *Welcome          `json:"welcome,omitempty"`
-	Reject          *Reject           `json:"reject,omitempty"`
-	StageTime       *StageTimeRequest `json:"stagetime,omitempty"`
-	StageTimeResult *StageTimeResult  `json:"stagetime_result,omitempty"`
-	Reconfigure     *PlanPayload      `json:"reconfigure,omitempty"`
-	Bye             *Bye              `json:"bye,omitempty"`
+	Hello            *Hello            `json:"hello,omitempty"`
+	Welcome          *Welcome          `json:"welcome,omitempty"`
+	Reject           *Reject           `json:"reject,omitempty"`
+	StageBatch       *StageBatch       `json:"stagebatch,omitempty"`
+	StageBatchResult *StageBatchResult `json:"stagebatch_result,omitempty"`
+	Reconfigure      *PlanPayload      `json:"reconfigure,omitempty"`
+	Bye              *Bye              `json:"bye,omitempty"`
 }
 
 // Hello opens a worker session.
@@ -113,23 +115,31 @@ type Bye struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// StageTimeRequest asks for one runtime.StageTime evaluation.
-type StageTimeRequest struct {
-	Stage   int  `json:"stage"`
-	Batch   int  `json:"batch"`
-	Round   int  `json:"round"`
-	Prefill bool `json:"prefill,omitempty"`
+// StageBatch asks for one worker's share of one round: runtime.StageTime
+// of every micro-batch of the prefill pass or of decode round Round, on
+// every stage the worker owns. The tasks are the product Stages ×
+// Batches, stage-major; Batches holds one size per micro-batch, so equal
+// sizes repeat and each is evaluated.
+type StageBatch struct {
+	Stages  []int `json:"stages"`
+	Batches []int `json:"batches"`
+	Round   int   `json:"round"`
+	Prefill bool  `json:"prefill,omitempty"`
 	// DeadlineUnixNano is the wall-clock instant after which the
-	// coordinator no longer wants the answer; the worker aborts and
-	// reports instead of computing late. 0 means no deadline.
+	// coordinator no longer wants the answer; the worker aborts the whole
+	// batch and reports instead of answering late. 0 means no deadline.
 	DeadlineUnixNano int64 `json:"deadline_unix_nano,omitempty"`
 }
 
-// StageTimeResult answers a StageTimeRequest.
-type StageTimeResult struct {
-	Seconds float64 `json:"seconds"`
+// tasks is the number of evaluations the batch asks for.
+func (b *StageBatch) tasks() int { return len(b.Stages) * len(b.Batches) }
+
+// StageBatchResult answers a StageBatch: all of it or none of it.
+type StageBatchResult struct {
+	// Seconds holds one stage time per task, in the batch's order.
+	Seconds []float64 `json:"seconds,omitempty"`
 	// Aborted reports the deadline had passed before (or while) the
-	// worker served the request; Seconds is meaningless.
+	// worker served the batch; Seconds is empty.
 	Aborted bool `json:"aborted,omitempty"`
 	// Err carries a stage-time evaluation failure.
 	Err string `json:"err,omitempty"`
@@ -192,13 +202,13 @@ func (m *Message) validate() error {
 		if m.Reject == nil {
 			return fmt.Errorf("dist: reject frame without reason")
 		}
-	case MsgStageTime:
-		if m.StageTime == nil {
-			return fmt.Errorf("dist: stagetime frame without request")
+	case MsgStageBatch:
+		if m.StageBatch == nil || m.StageBatch.tasks() == 0 {
+			return fmt.Errorf("dist: stagebatch frame without tasks")
 		}
-	case MsgStageTimeResult:
-		if m.StageTimeResult == nil {
-			return fmt.Errorf("dist: stagetime_result frame without result")
+	case MsgStageBatchResult:
+		if m.StageBatchResult == nil {
+			return fmt.Errorf("dist: stagebatch_result frame without result")
 		}
 	case MsgReconfigure:
 		if m.Reconfigure == nil {

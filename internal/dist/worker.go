@@ -25,11 +25,14 @@ type WorkerConfig struct {
 	// which the coordinator assumes, so only override it in tests.
 	Timer assigner.LayerTimer
 	// Hold injects an artificial wall-clock delay before every
-	// stage-time evaluation — pacing for demos and deadline tests.
+	// stage-time evaluation, so a batch of n tasks holds n times — pacing
+	// for demos and deadline tests.
 	Hold time.Duration
 	// FailAfterCalls, when positive, makes the worker die (sever the
-	// connection and return an error) after that many evaluations — the
-	// test hook for lease-expiry failover without killing a process.
+	// connection and return an error) once it has evaluated that many
+	// tasks — the test hook for lease-expiry failover without killing a
+	// process. Death takes the whole batch that crosses the count: the
+	// worker answers none of it, as a crash mid-batch would.
 	FailAfterCalls int
 	// Rejoin marks every hello as a heal-capable rejoin: a coordinator
 	// running with Config.Rejoin re-admits this name even after its
@@ -173,7 +176,7 @@ func (ws *workerState) connect(ctx context.Context) (*session, error) {
 }
 
 // serve pumps one session: a heartbeat goroutine renews the lease while
-// the read loop answers stage-time, reconfigure, and bye frames.
+// the read loop answers stage-batch, reconfigure, and bye frames.
 func (ws *workerState) serve(ctx context.Context, sess *session) error {
 	w := sess.w
 	defer w.close()
@@ -214,12 +217,12 @@ func (ws *workerState) serve(ctx context.Context, sess *session) error {
 			return err
 		}
 		switch msg.Type {
-		case MsgStageTime:
-			res, alive := ws.evalStageTime(msg.StageTime)
+		case MsgStageBatch:
+			res, alive := ws.evalBatch(msg.StageBatch)
 			if !alive {
 				return ErrInjectedDeath
 			}
-			if err := w.send(&Message{Type: MsgStageTimeResult, ID: msg.ID, StageTimeResult: res}); err != nil {
+			if err := w.send(&Message{Type: MsgStageBatchResult, ID: msg.ID, StageBatchResult: res}); err != nil {
 				return err
 			}
 		case MsgReconfigure:
@@ -241,38 +244,49 @@ func (ws *workerState) serve(ctx context.Context, sess *session) error {
 	}
 }
 
-// evalStageTime answers one request, honoring the deadline and the
-// injected-death hook. alive=false means the worker must die without
-// responding.
-func (ws *workerState) evalStageTime(req *StageTimeRequest) (res *StageTimeResult, alive bool) {
+// evalBatch evaluates a batch's tasks in order, honoring the deadline
+// after every hold and the injected-death hook. It answers the whole
+// batch or none of it: an abort evaluates nothing durably, and
+// alive=false means the batch crossed FailAfterCalls, so the worker must
+// die without responding.
+func (ws *workerState) evalBatch(req *StageBatch) (res *StageBatchResult, alive bool) {
 	expired := func() bool {
 		return req.DeadlineUnixNano > 0 && time.Now().UnixNano() > req.DeadlineUnixNano
 	}
-	if expired() {
+	abort := func() (*StageBatchResult, bool) {
 		ws.ctrlInc("llmpq_dist_deadline_aborts_total")
-		return &StageTimeResult{Aborted: true}, true
+		return &StageBatchResult{Aborted: true}, true
 	}
-	if ws.cfg.Hold > 0 {
-		time.Sleep(ws.cfg.Hold)
-		if expired() {
-			// The hold outlived the deadline: report the abort rather
-			// than an answer the coordinator no longer wants.
-			ws.ctrlInc("llmpq_dist_deadline_aborts_total")
-			return &StageTimeResult{Aborted: true}, true
-		}
-	}
-	ws.calls++
-	if ws.cfg.FailAfterCalls > 0 && ws.calls > ws.cfg.FailAfterCalls {
-		return nil, false
+	if expired() {
+		return abort()
 	}
 	if ws.payload == nil {
-		return &StageTimeResult{Err: "worker has no plan payload"}, true
+		return &StageBatchResult{Err: "worker has no plan payload"}, true
 	}
-	sec, err := rt.StageTime(ws.payload.Spec(), ws.payload.Plan, ws.cfg.Timer, req.Stage, req.Batch, req.Round, req.Prefill)
-	if err != nil {
-		return &StageTimeResult{Err: err.Error()}, true
+	spec, calls := ws.payload.Spec(), ws.calls
+	secs := make([]float64, 0, req.tasks())
+	for _, stage := range req.Stages {
+		for _, batch := range req.Batches {
+			if ws.cfg.Hold > 0 {
+				time.Sleep(ws.cfg.Hold)
+				if expired() {
+					// The hold outlived the deadline: report the abort
+					// rather than an answer the coordinator no longer wants.
+					return abort()
+				}
+			}
+			if calls++; ws.cfg.FailAfterCalls > 0 && calls > ws.cfg.FailAfterCalls {
+				return nil, false
+			}
+			sec, err := rt.StageTime(spec, ws.payload.Plan, ws.cfg.Timer, stage, batch, req.Round, req.Prefill)
+			if err != nil {
+				return &StageBatchResult{Err: err.Error()}, true
+			}
+			secs = append(secs, sec)
+		}
 	}
-	return &StageTimeResult{Seconds: sec}, true
+	ws.calls = calls
+	return &StageBatchResult{Seconds: secs}, true
 }
 
 func (ws *workerState) ctrlInc(name string) {

@@ -152,8 +152,10 @@ type Engine struct {
 	Chaos *chaos.Schedule
 	// StageTimer, when non-nil, replaces the local per-task stage-time
 	// computation (StageTime) — the distributed control plane's seam:
-	// internal/dist's coordinator installs a callback that asks the
-	// worker owning the stage to compute it remotely. The callback must
+	// internal/dist's coordinator installs a callback that answers from
+	// the round's stage times, computed remotely by the worker owning the
+	// stage (the task set of a round follows from MicroBatches). It is
+	// called once per task, in virtual-time order. The callback must
 	// return exactly what StageTime would (it is a pure function, so a
 	// faithful remote evaluation reproduces the single-process run
 	// bit-for-bit). Returning a *StageLostError halts the run with a
@@ -283,8 +285,8 @@ func (e *Engine) Run() (Stats, error) {
 
 	clk := simclock.New()
 	B := s.Work.GlobalBatch
-	kp := (B + p.PrefillMB - 1) / p.PrefillMB
-	kd := (B + p.DecodeMB - 1) / p.DecodeMB
+	pre, dec := MicroBatches(B, p.PrefillMB), MicroBatches(B, p.DecodeMB)
+	kp, kd := len(pre), len(dec)
 
 	prefillDone := 0
 	decodeDone := 0
@@ -371,7 +373,7 @@ func (e *Engine) Run() (Stats, error) {
 					for m := 0; m < kd; m++ {
 						mb := m
 						if err := clk.After(ret, func() {
-							arrive(0, task{mb: mb, batch: e.decodeBatch(mb, kd), round: 1})
+							arrive(0, task{mb: mb, batch: dec[mb], round: 1})
 						}); err != nil {
 							fail(err)
 						}
@@ -555,7 +557,7 @@ func (e *Engine) Run() (Stats, error) {
 		for m := 0; m < kd; m++ {
 			mb := m
 			if err := clk.At(0, func() {
-				arrive(0, task{mb: mb, batch: e.decodeBatch(mb, kd), round: e.StartRound})
+				arrive(0, task{mb: mb, batch: dec[mb], round: e.StartRound})
 			}); err != nil {
 				return Stats{}, err
 			}
@@ -565,11 +567,7 @@ func (e *Engine) Run() (Stats, error) {
 		// Master embeds and injects prefill micro-batches.
 		for m := 0; m < kp; m++ {
 			mb := m
-			batch := p.PrefillMB
-			if mb == kp-1 {
-				batch = B - p.PrefillMB*(kp-1)
-			}
-			if err := clk.At(0, func() { arrive(0, task{mb: mb, batch: batch, prefill: true}) }); err != nil {
+			if err := clk.At(0, func() { arrive(0, task{mb: mb, batch: pre[mb], prefill: true}) }); err != nil {
 				return Stats{}, err
 			}
 		}
@@ -688,12 +686,15 @@ func (e *Engine) commTime(from, to, batch, tokens int) float64 {
 	return link.TransferTime(bytes)
 }
 
-// decodeBatch sizes decode micro-batch m of kd.
-func (e *Engine) decodeBatch(m, kd int) int {
-	B := e.Spec.Work.GlobalBatch
-	mb := e.Plan.DecodeMB
-	if m == kd-1 {
-		return B - mb*(kd-1)
+// MicroBatches sizes the micro-batches one pass splits a global batch
+// into, in injection order: each holds size requests but the last, which
+// holds the remainder. The engine injects the prefill pass and every
+// decode round with these sizes; a control plane that evaluates a round's
+// stage times ahead of the engine builds the same task set from them.
+func MicroBatches(global, size int) []int {
+	out := make([]int, (global+size-1)/size)
+	for m := range out {
+		out[m] = min(size, global-m*size)
 	}
-	return mb
+	return out
 }

@@ -126,3 +126,53 @@ func TestStageTimeValidatesStage(t *testing.T) {
 		t.Errorf("nil timer must default to the profiler timer: %g vs %g (%v)", got, want, err)
 	}
 }
+
+// TestMicroBatches: a pass splits the global batch into full
+// micro-batches plus the remainder, and the engine injects exactly those
+// sizes into stage 0 for prefill and for every decode round.
+func TestMicroBatches(t *testing.T) {
+	for _, c := range []struct {
+		global, size int
+		want         []int
+	}{
+		{8, 1, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{8, 3, []int{3, 3, 2}},
+		{8, 4, []int{4, 4}},
+		{8, 8, []int{8}},
+		{5, 8, []int{5}},
+	} {
+		if got := MicroBatches(c.global, c.size); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("MicroBatches(%d, %d) = %v, want %v", c.global, c.size, got, c.want)
+		}
+	}
+	s, p, _ := chaosBaseline(t)
+	eng, err := NewEngine(s, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int][]int{} // stage-0 batch sizes by round; prefill is -1
+	eng.StageTimer = func(stage, batch, round int, prefill bool) (float64, error) {
+		if k := round; stage == 0 {
+			if prefill {
+				k = -1
+			}
+			got[k] = append(got[k], batch)
+		}
+		return StageTime(s, p, nil, stage, batch, round, prefill)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for round := -1; round < s.Work.Generate; round++ {
+		want := MicroBatches(s.Work.GlobalBatch, p.DecodeMB)
+		switch round {
+		case -1:
+			want = MicroBatches(s.Work.GlobalBatch, p.PrefillMB)
+		case 0:
+			want = nil // round 0 is the prefill pass
+		}
+		if !reflect.DeepEqual(got[round], want) {
+			t.Errorf("round %d: stage 0 saw batches %v, want %v", round, got[round], want)
+		}
+	}
+}
