@@ -30,6 +30,9 @@ func TestManifestMetricRoles(t *testing.T) {
 		{"llmpq_journal_append_seconds", RoleCtrl},
 		{"llmpq_journal_replayed_records", RoleCtrl},
 		{"llmpq_dist_reattach_total", RoleCtrl},
+		// The engine's wall-clock wait on a stage batch falls under the
+		// llmpq_dist_* ctrl wildcard.
+		{"llmpq_dist_stage_wait_seconds", RoleCtrl},
 		{"unrelated_family", RoleUnknown},
 	}
 	for _, c := range cases {

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -301,6 +303,200 @@ func TestStaleBufferNeverAnswers(t *testing.T) {
 	})
 }
 
+// TestAwaitReturnsAnswerBeforeClose: an answer routed before its
+// connection closed, or before its worker's lease expired, is returned,
+// not lost to the close. With a pass out ahead a worker can answer one
+// pass and die inside the next; losing that answer would land the loss a
+// pass early. Both cases are ready at once, so a select alone would pick
+// the close half of the time.
+func TestAwaitReturnsAnswerBeforeClose(t *testing.T) {
+	for _, cut := range []string{"connection", "lease"} {
+		co := &coordinator{ctx: context.Background(), pending: map[uint64]chan *Message{}}
+		a, b := net.Pipe()
+		defer b.Close()
+		w, m := newWire(a, nil), newMember("worker-a", state{})
+		if cut == "connection" {
+			w.close()
+		} else {
+			close(m.lostCh)
+		}
+		for id := uint64(1); id <= 64; id++ {
+			ch := co.register(id)
+			co.route(&Message{Type: MsgStageBatchResult, ID: id, StageBatchResult: &StageBatchResult{Seconds: []float64{float64(id)}}})
+			msg, err := co.await(id, ch, m, w, 0)
+			if err != nil || msg.StageBatchResult.Seconds[0] != float64(id) {
+				t.Fatalf("%s closed: await %d returned %+v, %v; want its answer", cut, id, msg, err)
+			}
+		}
+	}
+}
+
+// TestNoOrphanedRequests: every batch an engine run still has out when
+// it ends is unregistered, so no request outlives its run — after a
+// worker loss with a survivor's next pass out, a restore halt, and an
+// injected coordinator crash.
+func TestNoOrphanedRequests(t *testing.T) {
+	s2, s3 := distSpec(t), distSpec3(t)
+	p2, p3 := distPlan(t, s2), distPlan(t, s3)
+	pre2 := len(rt.MicroBatches(s2.Work.GlobalBatch, p2.PrefillMB))
+	pre3 := len(rt.MicroBatches(s3.Work.GlobalBatch, p3.PrefillMB))
+	cases := []struct {
+		name       string
+		s          *assigner.Spec
+		p          *assigner.Plan
+		dieAt      int // worker-b's FailAfterCalls
+		heal       bool
+		crashAfter int
+	}{
+		{"loss inside decode round 1", s2, p2, pre2 + 1, false, 0},
+		{"loss inside prefill", s3, p3, pre3 - 1, false, 0},
+		{"restore halt", s3, p3, pre3 - 1, true, 0},
+		{"coordinator crash", s2, p2, 0, false, 3 * pre2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			ln := listen(t)
+			// As in TestStaleBufferNeverAnswers: with heal, worker-a's
+			// degraded evaluations wait until worker-b has rejoined and held
+			// its lease for twice the dwell.
+			var bDead atomic.Bool
+			var opened sync.Once
+			release := make(chan struct{})
+			open := func() { opened.Do(func() { close(release) }) }
+			dwell := 50 * time.Millisecond
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_ = RunWorker(ctx, WorkerConfig{Name: "worker-a", Connect: ln.Addr().String(), RetrySeed: 100,
+					Timer: armedGateTimer{&bDead, release}})
+			}()
+			go func() {
+				defer wg.Done()
+				err := RunWorker(ctx, WorkerConfig{Name: "worker-b", Connect: ln.Addr().String(), RetrySeed: 101,
+					FailAfterCalls: c.dieAt, Hold: 20 * time.Millisecond})
+				if !errors.Is(err, ErrInjectedDeath) || !c.heal {
+					return
+				}
+				bDead.Store(true)
+				_ = RunWorker(ctx, WorkerConfig{Name: "worker-b", Connect: ln.Addr().String(), RetrySeed: 102,
+					Rejoin: true, Retry: retry.Policy{MaxAttempts: 60, BaseDelaySec: 0.02, Factor: 1.3, MaxDelaySec: 0.1, JitterFrac: 0.2}})
+			}()
+			co := &coordinator{}
+			res, err := co.serve(ctx, Config{
+				Listener: ln, Workers: 2, Spec: c.s, Plan: c.p,
+				Heartbeat: 50 * time.Millisecond, Lease: 400 * time.Millisecond,
+				Rejoin: c.heal, HealDwell: dwell, CoordFailAfter: c.crashAfter,
+				Logf: func(format string, args ...any) {
+					if strings.Contains(format, "rejoined") {
+						time.AfterFunc(2*dwell, open)
+					}
+				},
+			})
+			open()
+			switch {
+			case c.crashAfter > 0 && !errors.Is(err, ErrInjectedCoordCrash):
+				t.Fatalf("want the injected crash, got %v", err)
+			case c.crashAfter == 0 && err != nil:
+				t.Fatal(err)
+			case c.dieAt > 0 && res.LostWorker != "worker-b":
+				t.Fatalf("want worker-b lost, got %q", res.LostWorker)
+			case c.heal && !res.Restored:
+				t.Fatal("want a restore")
+			}
+			cancel()
+			wg.Wait()
+			co.pmu.Lock()
+			defer co.pmu.Unlock()
+			if n := len(co.pending); n != 0 {
+				t.Errorf("%d requests still pending after Serve returned", n)
+			}
+		})
+	}
+}
+
+// batchTap wraps a listener and checks, on every connection it accepts,
+// the stage batches the coordinator writes against the answers it reads:
+// a worker receives its batches in pass order, never holds more than two
+// unanswered, and is never asked for a round at or past Generate.
+type batchTap struct {
+	net.Listener
+	generate int
+
+	mu       sync.Mutex
+	problems []string
+	peak     int // the most batches any worker held unanswered
+}
+
+func (l *batchTap) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: c, l: l, pass: -1}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	l    *batchTap
+	pass int // the last pass written: 0 is prefill, r is decode round r
+	out  int // batches written and not yet answered
+	rbuf []byte
+}
+
+// Write sees one whole frame: writeFrame hands each over in one Write.
+func (c *tapConn) Write(b []byte) (int, error) {
+	c.l.observe(c, b[4:], true)
+	return c.Conn.Write(b)
+}
+
+// Read reassembles the frames the coordinator reads.
+func (c *tapConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.rbuf = append(c.rbuf, b[:n]...)
+	for len(c.rbuf) >= 4 {
+		size := 4 + int(binary.BigEndian.Uint32(c.rbuf))
+		if len(c.rbuf) < size {
+			break
+		}
+		c.l.observe(c, c.rbuf[4:size], false)
+		c.rbuf = c.rbuf[size:]
+	}
+	return n, err
+}
+
+func (l *batchTap) observe(c *tapConn, frame []byte, written bool) {
+	var m Message
+	err := json.Unmarshal(frame, &m)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case err != nil:
+		l.problems = append(l.problems, fmt.Sprintf("unreadable frame: %v", err))
+	case written && m.Type == MsgStageBatch:
+		sb := m.StageBatch
+		pass := sb.Round
+		if sb.Prefill {
+			pass = 0
+		}
+		if pass <= c.pass {
+			l.problems = append(l.problems, fmt.Sprintf("pass %d sent after pass %d", pass, c.pass))
+		}
+		if sb.Round >= l.generate {
+			l.problems = append(l.problems, fmt.Sprintf("round %d asked for, generate is %d", sb.Round, l.generate))
+		}
+		c.pass, c.out = pass, c.out+1
+		if l.peak = max(l.peak, c.out); c.out > 2 {
+			l.problems = append(l.problems, fmt.Sprintf("%d batches unanswered at pass %d", c.out, pass))
+		}
+	case !written && m.Type == MsgStageBatchResult:
+		c.out--
+	}
+}
+
 // countingTimer is the roofline timer counting its layer evaluations.
 type countingTimer struct{ n *atomic.Int64 }
 
@@ -313,7 +509,9 @@ func (c countingTimer) Layer(gpu hardware.GPU, cfg model.Config, w profiler.Work
 // prefill and 4 decode micro-batches, 100 tokens) the control plane
 // sends one request and one answer per worker per round — at most 0.4
 // frames per stage call — while the engine still makes one stage call
-// per task and the workers still evaluate every task.
+// per task and the workers still evaluate every task. Each worker
+// receives its batches in pass order, one pass ahead and no further, and
+// never a round past the last.
 func TestFrameBudget(t *testing.T) {
 	s, err := experiments.SpecFor(3, experiments.DefaultWork)
 	if err != nil {
@@ -338,7 +536,7 @@ func TestFrameBudget(t *testing.T) {
 	sim, ctrl := obs.NewRegistry(), obs.NewRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	ln := listen(t)
+	ln := &batchTap{Listener: listen(t), generate: s.Work.Generate}
 	join := startWorkers(ctx, 2, ln.Addr().String(), func(i int, cfg *WorkerConfig) {
 		cfg.Timer, cfg.CtrlObs = countingTimer{&remoteEvals}, ctrl
 	})
@@ -367,5 +565,13 @@ func TestFrameBudget(t *testing.T) {
 	frames := ctrl.Counter("llmpq_dist_frames_sent_total").Value()
 	if perCall := frames / calls; perCall > 0.4 {
 		t.Errorf("%.0f frames for %.0f stage calls: %.3f per call, budget 0.4", frames, calls, perCall)
+	}
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	for _, p := range ln.problems {
+		t.Error(p)
+	}
+	if ln.peak != 2 {
+		t.Errorf("a worker held at most %d batches unanswered; one pass ahead makes it 2", ln.peak)
 	}
 }

@@ -44,10 +44,11 @@ type Config struct {
 	// lease resumes seamlessly. Default 4×Heartbeat.
 	Lease time.Duration
 	// RoundDeadline bounds each stage batch — one worker's share of one
-	// round — from the moment it is sent: a worker still evaluating at
-	// the deadline aborts the whole batch and reports rather than
-	// answering late, and the coordinator gives up on a batch left
-	// unanswered past deadline + Lease. 0 means the default, 10s; a
+	// round — from the moment it is sent, a round ahead of the engine, so
+	// it covers the wait behind the batch before it: a worker still
+	// evaluating at the deadline aborts the whole batch and reports rather
+	// than answering late, and the coordinator gives up on a batch it has
+	// waited on for deadline + Lease. 0 means the default, 10s; a
 	// negative value disables the deadline, and a batch then has a Lease
 	// to answer.
 	RoundDeadline time.Duration
@@ -311,6 +312,8 @@ type coordinator struct {
 
 	// Deterministic counters (sim registry).
 	stageCalls *obs.Counter
+	// stageWait times each collect the engine blocks in (ctrl registry).
+	stageWait *obs.Histogram
 
 	// cmu guards conns — every connection handleConn admitted and has not
 	// yet released — and dead, set once the coordinator stops admitting:
@@ -332,6 +335,12 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 
 // serve is Serve with a tap on the durable state after each append.
 func serve(ctx context.Context, cfg Config, tap func(durable)) (*Result, error) {
+	return (&coordinator{tap: tap}).serve(ctx, cfg)
+}
+
+// serve runs Serve on co, which holds only the tap so far; what co is
+// left holding once it returns stays readable.
+func (co *coordinator) serve(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("dist: coordinator needs a listener")
 	}
@@ -350,15 +359,15 @@ func serve(ctx context.Context, cfg Config, tap func(durable)) (*Result, error) 
 	}
 	cfg = cfg.withDefaults()
 
-	co := &coordinator{
-		cfg:     cfg,
-		members: make(map[string]*member),
-		joined:  make(chan struct{}),
-		pending: make(map[uint64]chan *Message),
-		tap:     tap,
-	}
+	co.cfg = cfg
+	co.members = make(map[string]*member)
+	co.joined = make(chan struct{})
+	co.pending = make(map[uint64]chan *Message)
 	if cfg.Obs != nil {
 		co.stageCalls = cfg.Obs.Counter("llmpq_dist_stage_calls_total")
+	}
+	if cfg.CtrlObs != nil {
+		co.stageWait = cfg.CtrlObs.Histogram("llmpq_dist_stage_wait_seconds", obs.TimeBuckets())
 	}
 	if err := co.openJournal(); err != nil {
 		return nil, err
@@ -583,13 +592,23 @@ func (co *coordinator) run() (*Result, error) {
 		eng.StartRound = l.start
 		// A fresh buffer per engine run: stage indices are reused across
 		// epochs on other devices, so a time fetched under one plan must
-		// never answer a call under the next.
-		eng.StageTimer = (&stageBuffer{co: co, plan: plan, batch: spec.Work.GlobalBatch, times: map[stageKey][]float64{}}).stageTime
+		// never answer a call under the next. The batches it still has
+		// out when the run ends are dropped with it.
+		co.mu.Lock()
+		buf := &stageBuffer{co: co, plan: plan, owners: co.owners, batch: spec.Work.GlobalBatch, last: spec.Work.Generate - 1,
+			times: map[stageKey][]float64{}, flights: map[*member][]*flight{}}
+		co.mu.Unlock()
+		eng.StageTimer = buf.stageTime
 		eng.OnRoundCommit = co.onRoundCommit
 		eng.Obs, eng.Spans = cfg.Obs, cfg.Spans
 		co.healArmed.Store(armed)
 		stats, err := eng.Run()
 		co.healArmed.Store(false)
+		for _, fs := range buf.flights {
+			for _, f := range fs {
+				co.unregister(f.id)
+			}
+		}
 		var lost *rt.DeviceLostError
 		var halt *rt.RestoreHaltError
 		switch {
@@ -772,20 +791,38 @@ type stageKey struct {
 	prefill             bool
 }
 
-// stageBuffer answers one engine run's stage calls: each worker's share
-// of a round arrives in one stage batch and waits here, task by task.
+// stageBuffer answers one engine run's stage calls. A pass — prefill
+// (pass 0) or decode round r — goes to every worker on its first miss,
+// with the next pass, one stage batch apiece; a worker's batch is
+// collected on a miss at one of its own stages, and waits here.
 type stageBuffer struct {
-	co    *coordinator
-	plan  *assigner.Plan
-	batch int // the global batch the passes split
-	times map[stageKey][]float64
+	co     *coordinator
+	plan   *assigner.Plan
+	owners []*member // stage index → serving member
+	batch  int       // the global batch the passes split
+	last   int       // the last decode round: Generate − 1
+	next   int       // the first pass not yet sent
+	times  map[stageKey][]float64
+	// flights holds each worker's uncollected batches in pass order.
+	flights map[*member][]*flight
+}
+
+// flight is one stage batch out to its owner under a pending id. w, the
+// connection it went out on, and ch are nil until it goes out, and again
+// once collect knows it must go again.
+type flight struct {
+	req *StageBatch
+	id  uint64
+	ch  chan *Message
+	w   *wire
 }
 
 // stageTime is the Engine.StageTimer callback: answer one task from the
-// buffer, fetching the owning worker's share of the task's round on a
-// miss. While the degraded epoch runs with heal armed, the first call
-// that finds a dwell-stable rejoined worker instead halts the engine
-// with a StageRestoreError so the restore replan can bring it back.
+// buffer. A miss sends the task's pass and the next unless they are out,
+// and collects the batch of the stage's owner. While the degraded epoch
+// runs with heal armed, the first call that finds a dwell-stable
+// rejoined worker instead halts the engine with a StageRestoreError so
+// the restore replan can bring it back.
 func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64, error) {
 	co := b.co
 	if co.healArmed.Load() && len(co.healedMembers()) > 0 && co.healArmed.CompareAndSwap(true, false) {
@@ -793,7 +830,19 @@ func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64,
 	}
 	k := stageKey{stage, batch, round, prefill}
 	if len(b.times[k]) == 0 {
-		if err := b.fetch(k); err != nil {
+		pass := round
+		if prefill {
+			pass = 0
+		}
+		for q := max(pass, b.next); q <= min(pass+1, b.last); q++ {
+			b.send(q)
+		}
+		m := b.owners[stage]
+		i := slices.IndexFunc(b.flights[m], func(f *flight) bool { return f.req.Round == round && f.req.Prefill == prefill })
+		if i < 0 {
+			return 0, fmt.Errorf("dist: worker %s has no batch out for stage %d's pass %d", m.name, stage, pass)
+		}
+		if err := b.collect(m, b.flights[m][i], stage); err != nil {
 			return 0, err
 		}
 	}
@@ -812,89 +861,124 @@ func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64,
 	return sec, nil
 }
 
-// fetch has the worker owning k's stage evaluate its share of k's round —
-// every micro-batch of the pass on every stage it owns — and buffers the
-// answers. It survives detach windows (the batch is re-sent after the
-// reattach) and deadline aborts (re-sent up to DeadlineRetries times),
-// and turns a lease expiry into a StageLostError for k's stage.
-func (b *stageBuffer) fetch(k stageKey) error {
+// send fans pass q out: one batch per worker — every micro-batch of the
+// pass on every stage it owns — flushed to its connection if it has one.
+func (b *stageBuffer) send(q int) {
+	b.next = q + 1
 	size := b.plan.DecodeMB
-	if k.prefill {
+	if q == 0 {
 		size = b.plan.PrefillMB
 	}
-	req := &StageBatch{Round: k.round, Prefill: k.prefill, Batches: rt.MicroBatches(b.batch, size)}
+	for j, m := range b.owners {
+		if slices.Index(b.owners, m) < j {
+			continue // m's batch holds stage j already
+		}
+		req := &StageBatch{Round: q, Prefill: q == 0, Batches: rt.MicroBatches(b.batch, size)}
+		for i, o := range b.owners {
+			if o == m {
+				req.Stages = append(req.Stages, i)
+			}
+		}
+		b.flights[m] = append(b.flights[m], &flight{req: req})
+		b.flush(m)
+	}
+}
+
+// flush puts every batch of m's that is neither out on m's connection nor
+// answered onto it, in pass order, each under a fresh id and deadline. A
+// failed write detaches m and leaves the rest to collect.
+func (b *stageBuffer) flush(m *member) {
 	co := b.co
-	co.mu.Lock()
-	if k.stage >= len(co.owners) {
-		co.mu.Unlock()
-		return fmt.Errorf("dist: stage %d has no assigned worker", k.stage)
-	}
-	m := co.owners[k.stage]
-	for j, o := range co.owners {
-		if o == m {
-			req.Stages = append(req.Stages, j)
+	m.mu.Lock()
+	w := m.conn
+	m.mu.Unlock()
+	for _, f := range b.flights[m] {
+		if w == nil || f.w == w || len(f.ch) > 0 {
+			continue
 		}
-	}
-	co.mu.Unlock()
-	aborts := 0
-	for {
-		w, err := m.awaitConn(co.ctx)
-		if errors.Is(err, errMemberLost) {
-			return &rt.StageLostError{Stage: k.stage}
-		}
-		if err != nil {
-			return err
-		}
-		id := co.idSeq.Add(1)
-		ch := co.register(id)
+		co.unregister(f.id) // the id it went out under on a dead connection
+		f.id = co.idSeq.Add(1)
+		f.ch = co.register(f.id)
 		if co.cfg.RoundDeadline > 0 {
-			req.DeadlineUnixNano = time.Now().Add(co.cfg.RoundDeadline).UnixNano()
+			f.req.DeadlineUnixNano = time.Now().Add(co.cfg.RoundDeadline).UnixNano()
 		}
-		if err := w.send(&Message{Type: MsgStageBatch, ID: id, StageBatch: req}); err != nil {
-			co.unregister(id)
+		if err := w.send(&Message{Type: MsgStageBatch, ID: f.id, StageBatch: f.req}); err != nil {
+			co.unregister(f.id)
+			f.w, f.ch = nil, nil
 			m.detachIf(w)
 			co.ctrlInc("llmpq_dist_stage_resends_total")
-			continue
+			return
+		}
+		f.w = w
+	}
+}
+
+// collect waits for f, m's batch, and buffers its answers. It survives
+// detach windows (the batch goes again after the reattach) and deadline
+// aborts (again up to DeadlineRetries times), and turns a lease expiry
+// into a StageLostError for stage, the engine's call.
+func (b *stageBuffer) collect(m *member, f *flight, stage int) error {
+	co := b.co
+	if co.stageWait != nil {
+		defer func(start time.Time) { co.stageWait.Observe(time.Since(start).Seconds()) }(time.Now())
+	}
+	aborts := 0
+	for {
+		if f.w == nil {
+			_, err := m.awaitConn(co.ctx)
+			if errors.Is(err, errMemberLost) {
+				return &rt.StageLostError{Stage: stage}
+			}
+			if err != nil {
+				return err
+			}
+			if b.flush(m); f.w == nil {
+				continue
+			}
 		}
 		// The response must arrive within deadline + lease: either the
 		// worker answers (possibly with an abort), the connection dies
 		// (resend after reattach), or the lease expires.
-		msg, err := co.await(id, ch, m, w, co.cfg.RoundDeadline+co.cfg.Lease)
+		msg, err := co.await(f.id, f.ch, m, f.w, co.cfg.RoundDeadline+co.cfg.Lease)
 		switch {
 		case errors.Is(err, errMemberLost):
-			return &rt.StageLostError{Stage: k.stage}
+			return &rt.StageLostError{Stage: stage}
 		case errors.Is(err, errConnClosed):
+			f.w, f.ch = nil, nil
 			co.ctrlInc("llmpq_dist_stage_resends_total")
 			continue
 		case errors.Is(err, errAwaitTimeout):
 			// Conn is up but the worker went mute; force a reconnect and
 			// charge a deadline strike.
-			m.detachIf(w)
+			m.detachIf(f.w)
 		case err != nil:
 			return err
 		}
 		if err != nil || msg.StageBatchResult.Aborted {
+			f.w, f.ch = nil, nil
 			co.ctrlInc("llmpq_dist_deadline_aborts_total")
 			if aborts++; aborts > co.cfg.DeadlineRetries {
-				return fmt.Errorf("dist: stage %d batch exceeded its %s deadline %d times", k.stage, co.cfg.RoundDeadline, aborts)
+				return fmt.Errorf("dist: stage %d batch exceeded its %s deadline %d times", stage, co.cfg.RoundDeadline, aborts)
 			}
 			continue
 		}
-		res := msg.StageBatchResult
+		req, res := f.req, msg.StageBatchResult
 		if res.Err != "" || len(res.Seconds) != req.tasks() {
-			return fmt.Errorf("dist: worker %s stage %d: %d of %d times (%s)", m.name, k.stage, len(res.Seconds), req.tasks(), res.Err)
+			return fmt.Errorf("dist: worker %s stage %d: %d of %d times (%s)", m.name, stage, len(res.Seconds), req.tasks(), res.Err)
 		}
 		for i, sec := range res.Seconds {
-			t := stageKey{req.Stages[i/len(req.Batches)], req.Batches[i%len(req.Batches)], k.round, k.prefill}
+			t := stageKey{req.Stages[i/len(req.Batches)], req.Batches[i%len(req.Batches)], req.Round, req.Prefill}
 			b.times[t] = append(b.times[t], sec)
 		}
+		b.flights[m] = slices.DeleteFunc(b.flights[m], func(g *flight) bool { return g == f })
 		return nil
 	}
 }
 
 // await blocks until the pending request id resolves, the request's
 // connection dies, the member is lost, the wait elapses, or the
-// coordinator stops.
+// coordinator stops. An answer that arrived first is returned even when
+// the other case is ready too.
 func (co *coordinator) await(id uint64, ch chan *Message, m *member, w *wire, wait time.Duration) (*Message, error) {
 	var tC <-chan time.Time
 	if wait > 0 {
@@ -902,21 +986,25 @@ func (co *coordinator) await(id uint64, ch chan *Message, m *member, w *wire, wa
 		defer t.Stop()
 		tC = t.C
 	}
+	var err error
 	select {
 	case msg := <-ch:
 		return msg, nil
 	case <-w.closed():
-		co.unregister(id)
-		return nil, errConnClosed
+		err = errConnClosed
 	case <-m.lostCh:
-		co.unregister(id)
-		return nil, errMemberLost
+		err = errMemberLost
 	case <-tC:
-		co.unregister(id)
-		return nil, errAwaitTimeout
+		err = errAwaitTimeout
 	case <-co.ctx.Done():
+		err = co.ctx.Err()
+	}
+	select {
+	case msg := <-ch:
+		return msg, nil
+	default:
 		co.unregister(id)
-		return nil, co.ctx.Err()
+		return nil, err
 	}
 }
 

@@ -83,9 +83,10 @@ func (fl *faultListener) Accept() (net.Conn, error) {
 // faultConn applies the matched faults to one accepted connection. It
 // counts the complete frames the connection carries — the embedded
 // parser finds them in the read byte stream, and each write is one frame
-// (writeFrame) — so a conn-drop severs at an exact, reproducible point
-// in the conversation: the coordinator holds at most one request in
-// flight, so requests and answers alternate in a fixed order.
+// (writeFrame) — so a conn-drop severs after an exact frame count. Where
+// in the conversation that falls can vary (a worker may hold two
+// batches, and heartbeats interleave), but every stage time is a pure
+// function, so the run heals to the same result wherever it lands.
 type faultConn struct {
 	net.Conn
 	fl  *faultListener

@@ -32,7 +32,9 @@ type WorkerConfig struct {
 	// connection and return an error) once it has evaluated that many
 	// tasks — the test hook for lease-expiry failover without killing a
 	// process. Death takes the whole batch that crosses the count: the
-	// worker answers none of it, as a crash mid-batch would.
+	// worker answers none of it, as a crash mid-batch would. Batches
+	// arrive a pass ahead of the engine, so the count includes a pass a
+	// run that halts mid-pass never consumes.
 	FailAfterCalls int
 	// Rejoin marks every hello as a heal-capable rejoin: a coordinator
 	// running with Config.Rejoin re-admits this name even after its

@@ -75,8 +75,11 @@ clean_tokens=$(sed -n 's/.*(\([0-9]*\) tokens).*/\1/p' "$obsdir/dist-single.txt"
     -listen "$distaddr" -workers 2 -heartbeat 50ms -lease 400ms \
     -metrics-out "$obsdir/dist-kill.prom" > "$obsdir/dist-kill.txt" &
 coord=$!
-"$obsdir/llmpq-dist" -role worker -name w0 -connect "$distaddr" -hold 20ms > /dev/null &
-"$obsdir/llmpq-dist" -role worker -name w1 -connect "$distaddr" -hold 20ms > /dev/null &
+# The holds pace the run to ~3 s on loopback, so the kill at 1.5 s lands
+# mid-decode. The two workers evaluate each round at once, so a 40 ms hold
+# gives the pacing a 20 ms hold gave when they took turns.
+"$obsdir/llmpq-dist" -role worker -name w0 -connect "$distaddr" -hold 40ms > /dev/null &
+"$obsdir/llmpq-dist" -role worker -name w1 -connect "$distaddr" -hold 40ms > /dev/null &
 victim=$!
 sleep 1.5
 kill -9 "$victim"
