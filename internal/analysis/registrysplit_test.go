@@ -28,6 +28,7 @@ func TestManifestMetricRoles(t *testing.T) {
 		// control-plane state.
 		{"llmpq_journal_appends_total", RoleCtrl},
 		{"llmpq_journal_append_seconds", RoleCtrl},
+		{"llmpq_journal_sync_seconds", RoleCtrl},
 		{"llmpq_journal_replayed_records", RoleCtrl},
 		{"llmpq_dist_reattach_total", RoleCtrl},
 		// The engine's wall-clock wait on a stage batch falls under the

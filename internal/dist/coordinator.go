@@ -77,9 +77,11 @@ type Config struct {
 	// JournalDir, when non-empty, makes the coordinator durable: every
 	// determinism-relevant state transition — plan adoption (with the
 	// failover transition behind it), token mints, watermark commits,
-	// completion — is appended (CRC-framed, fsync'd per record) to
+	// completion — is appended (CRC-framed) to
 	// JournalDir/coordinator.journal, so a crashed coordinator can be
-	// restarted with Recover.
+	// restarted with Recover. Every record but a watermark commit is
+	// fsync'd before anything acts on it; watermark commits ride on the
+	// next such fsync (DESIGN.md §14).
 	JournalDir string
 	// Recover replays the journal in JournalDir instead of starting
 	// fresh: membership (names + rejoin tokens), the adopted plan

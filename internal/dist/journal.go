@@ -330,6 +330,10 @@ func newCoordJournal(w *journal.Writer, st durable, ctrl *obs.Registry, tap func
 	if ctrl == nil {
 		ctrl = obs.NewRegistry() // no ctrl registry: the counts go nowhere
 	}
+	if w != nil {
+		syncSec := ctrl.Histogram("llmpq_journal_sync_seconds", obs.TimeBuckets())
+		w.OnSync = func(d time.Duration) { syncSec.Observe(d.Seconds()) }
+	}
 	return &coordJournal{w: w, st: st, tap: tap,
 		appends:   ctrl.Counter("llmpq_journal_appends_total"),
 		bytes:     ctrl.Counter("llmpq_journal_bytes_total"),
@@ -358,8 +362,13 @@ func (j *coordJournal) append(rec *Record) error {
 			j.err = fmt.Errorf("dist: journal encode: %w", err)
 			return j.err
 		}
+		// Round watermarks ride on the next barrier's fsync (DESIGN.md §14).
+		write := j.w.Append
+		if rec.Type == RecRound {
+			write = j.w.AppendNoSync
+		}
 		start := time.Now()
-		n, err := j.w.Append(buf)
+		n, err := write(buf)
 		if err != nil {
 			j.err = fmt.Errorf("dist: journal append: %w", err)
 			return j.err
@@ -388,6 +397,6 @@ func (j *coordJournal) close() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.w != nil {
-		_ = j.w.Close() //llmpq:allow(errdrop): shutdown path; appends were already fsync'd record-by-record
+		_ = j.w.Close() //llmpq:allow(errdrop): shutdown path; a finished run's done barrier left nothing to sync, and a failed run's unsynced rounds are only re-executed if lost
 	}
 }

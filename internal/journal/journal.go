@@ -4,10 +4,12 @@
 //
 //	[4-byte big-endian payload length][4-byte big-endian CRC32-IEEE][payload]
 //
-// and every append is fsync'd, so the log on disk is always a valid
-// prefix of the records handed to Append — possibly followed by one torn
-// tail from a crash that landed mid-write. Replay distinguishes the two
-// failure shapes a reader can meet:
+// and written in call order. Append's fsync makes its record and every
+// earlier one durable; AppendNoSync has none, so a power loss may drop
+// what followed the last Append. The log on disk is always a valid prefix
+// of the records written — possibly followed by one torn tail from a
+// crash that landed mid-write. Replay distinguishes the two failure
+// shapes a reader can meet:
 //
 //   - a torn tail (the file ends inside a header or payload): expected
 //     after a crash. Replay returns the records of the valid prefix and
@@ -20,10 +22,12 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"sync"
+	"time"
 )
 
 // headerBytes frames each record: 4-byte length + 4-byte CRC32 (IEEE).
@@ -44,13 +48,16 @@ func (e *CorruptJournalError) Error() string {
 	return fmt.Sprintf("journal: corrupt record at byte %d: %s", e.Offset, e.Reason)
 }
 
-// Writer appends CRC-checked records to a journal file, fsync'ing each
-// one so a crash never loses an acknowledged append. Safe for concurrent
-// use.
+// Writer appends CRC-checked records to a journal file, in call order.
+// An Append returns only after an fsync covering it and every record
+// before it. Safe for concurrent use.
 type Writer struct {
 	mu     sync.Mutex
 	f      *os.File
 	closed bool
+	dirty  bool // records written since the last fsync
+	// OnSync, when set before the first append, sees each fsync's duration.
+	OnSync func(time.Duration)
 }
 
 // Create opens (truncating) a fresh journal at path.
@@ -63,8 +70,14 @@ func Create(path string) (*Writer, error) {
 }
 
 // Append frames, writes, and fsyncs one record, returning the bytes the
-// journal grew by.
-func (w *Writer) Append(payload []byte) (int, error) {
+// journal grew by. The fsync also covers every earlier AppendNoSync.
+func (w *Writer) Append(payload []byte) (int, error) { return w.append(payload, true) }
+
+// AppendNoSync is Append without the fsync: the record becomes durable
+// with the next Append or Close.
+func (w *Writer) AppendNoSync(payload []byte) (int, error) { return w.append(payload, false) }
+
+func (w *Writer) append(payload []byte, barrier bool) (int, error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("journal: empty record")
 	}
@@ -80,16 +93,31 @@ func (w *Writer) Append(payload []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("journal: append to a closed writer")
 	}
+	w.dirty = true
 	if _, err := w.f.Write(buf); err != nil {
 		return 0, err
 	}
-	if err := w.f.Sync(); err != nil {
-		return 0, err
+	if barrier {
+		if err := w.sync(); err != nil {
+			return 0, err
+		}
 	}
 	return len(buf), nil
 }
 
-// Close releases the file; further appends fail.
+// sync fsyncs every record written so far; the caller holds mu.
+func (w *Writer) sync() error {
+	start := time.Now()
+	err := w.f.Sync()
+	w.dirty = false
+	if w.OnSync != nil {
+		w.OnSync(time.Since(start))
+	}
+	return err
+}
+
+// Close fsyncs any AppendNoSync records still pending and releases the
+// file; further appends fail.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -97,6 +125,9 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	if w.dirty {
+		return errors.Join(w.sync(), w.f.Close())
+	}
 	return w.f.Close()
 }
 
@@ -163,8 +194,8 @@ func ReplayFile(path string) (*Replayed, error) {
 }
 
 // Continue resumes writing an existing journal: replay it, truncate a
-// torn tail (a crash mid-append leaves one; the lost record was never
-// acknowledged), and return a writer positioned after the last complete
+// torn tail (a crash mid-append leaves one; no Append covered the lost
+// record), and return a writer positioned after the last complete
 // record. A corrupt record fails the whole recovery — truncating real
 // damage would silently rewrite history.
 func Continue(path string) (*Writer, *Replayed, error) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func writeRecords(t *testing.T, path string, payloads ...[]byte) {
@@ -297,5 +298,209 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, _, err := Continue(missing); err == nil {
 		t.Error("Continue on a missing file must fail")
+	}
+}
+
+// countSyncs counts w's fsyncs through its OnSync hook, which runs under
+// the writer's lock.
+func countSyncs(w *Writer) *int {
+	n := new(int)
+	w.OnSync = func(time.Duration) { *n++ }
+	return n
+}
+
+// TestUnsyncedAppendsRideOnBarrier: AppendNoSync records land in call
+// order and the next Append's one fsync makes them all durable, so Close
+// has nothing left to sync.
+func TestUnsyncedAppendsRideOnBarrier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := countSyncs(w)
+	want := []string{"round-1", "round-2", "round-3", "plan"}
+	for _, p := range want[:3] {
+		if _, err := w.AppendNoSync([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *syncs != 0 || !w.dirty {
+		t.Fatalf("after unsynced appends: %d fsyncs, dirty=%v; want 0, true", *syncs, w.dirty)
+	}
+	n, err := w.Append([]byte(want[3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != headerBytes+len(want[3]) {
+		t.Errorf("Append grew the journal by %d bytes, want %d", n, headerBytes+len(want[3]))
+	}
+	if *syncs != 1 || w.dirty {
+		t.Fatalf("after the barrier: %d fsyncs, dirty=%v; want 1, false", *syncs, w.dirty)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != 1 {
+		t.Errorf("Close after a barrier: %d fsyncs, want 1", *syncs)
+	}
+	rep, err := ReplayFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(rep.Records))
+	for i, r := range rep.Records {
+		got[i] = string(r)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || rep.TornBytes != 0 {
+		t.Errorf("replayed %v (torn %d), want %v", got, rep.TornBytes, want)
+	}
+}
+
+// TestCloseSyncsPendingTail: Close fsyncs unsynced records still pending,
+// and adds no fsync when nothing is.
+func TestCloseSyncsPendingTail(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name      string
+		barrier   []bool // per append: Append (true) or AppendNoSync
+		wantSyncs int
+	}{
+		{"empty", nil, 0},
+		{"pending tail", []bool{false, false}, 1},
+		{"barrier last", []bool{false, true}, 1},
+		{"tail after barrier", []bool{true, false}, 2},
+	}
+	for _, c := range cases {
+		w, err := Create(filepath.Join(dir, c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncs := countSyncs(w)
+		for i, b := range c.barrier {
+			write := w.AppendNoSync
+			if b {
+				write = w.Append
+			}
+			if _, err := write([]byte(fmt.Sprintf("r%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if *syncs != c.wantSyncs || w.dirty {
+			t.Errorf("%s: %d fsyncs after Close (dirty=%v), want %d", c.name, *syncs, w.dirty, c.wantSyncs)
+		}
+		if err := w.Close(); err != nil || *syncs != c.wantSyncs {
+			t.Errorf("%s: a second Close returned %v with %d fsyncs", c.name, err, *syncs)
+		}
+	}
+}
+
+// TestTornTailAfterUnsyncedAppends: a file cut mid-record after unsynced
+// appends (a power loss that kept part of the tail) replays as a torn
+// tail behind the records before the cut, and Continue truncates it.
+func TestTornTailAfterUnsyncedAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte("plan")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"round-1", "round-2"} {
+		if _, err := w.AppendNoSync([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(data) - 3 // inside round-2's payload
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, rep, err := Continue(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := int64(2*headerBytes + len("plan") + len("round-1"))
+	if len(rep.Records) != 2 || rep.ValidBytes != valid || rep.TornBytes != int64(cut)-valid {
+		t.Fatalf("replayed %d records, %d valid and %d torn bytes; want 2, %d, %d",
+			len(rep.Records), rep.ValidBytes, rep.TornBytes, valid, int64(cut)-valid)
+	}
+	if _, err := w.AppendNoSync([]byte("round-2 again")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = ReplayFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != 3 || rep.TornBytes != 0 || string(rep.Records[2]) != "round-2 again" {
+		t.Errorf("after Continue: %q (torn %d)", rep.Records, rep.TornBytes)
+	}
+}
+
+// TestConcurrentMixedAppends: goroutines mixing both appends get every
+// record back exactly once, validly framed and in each goroutine's call
+// order, and the writer issues one fsync per Append.
+func TestConcurrentMixedAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := countSyncs(w)
+	const writers, each = 8, 20
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				write := w.AppendNoSync
+				if i%4 == 3 {
+					write = w.Append
+				}
+				if _, err := write([]byte(fmt.Sprintf("g%d-i%d", g, i))); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := *syncs, writers*each/4; got != want {
+		t.Errorf("%d fsyncs, want one per Append (%d)", got, want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != writers*each || rep.TornBytes != 0 {
+		t.Fatalf("replayed %d records (torn %d), want %d", len(rep.Records), rep.TornBytes, writers*each)
+	}
+	next := make([]int, writers)
+	for _, r := range rep.Records {
+		var g, i int
+		if _, err := fmt.Sscanf(string(r), "g%d-i%d", &g, &i); err != nil {
+			t.Fatalf("record %q: %v", r, err)
+		}
+		if i != next[g] {
+			t.Fatalf("goroutine %d: record %d replayed where %d was due", g, i, next[g])
+		}
+		next[g]++
 	}
 }

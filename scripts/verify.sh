@@ -190,16 +190,20 @@ grep -q 'llmpq_dist_injected_conn_drops_total 1' "$obsdir/dchaos1/metrics.prom"
 echo "== crash recovery smoke (SIGKILL the coordinator mid-decode; -recover must byte-match) =="
 # Reference: a journaled run that never crashes, capturing every artifact
 # the recovered run must reproduce byte-for-byte. The stage-call total it
-# exports picks the crash point for the second run.
+# exports picks the crash point for the second run. Its ctrl metrics pin
+# the journal's group commit: only barrier records are fsynced.
 mkdir -p "$obsdir/rec-ref" "$obsdir/rec-crash"
 (cd "$obsdir/rec-ref" && "$obsdir/llmpq-dist" -role coordinator \
     -strat-file "$obsdir/dist-strat.json" -listen "$distaddr" -workers 2 \
-    -journal-dir jnl -metrics-out metrics.prom -trace-out trace.json > stdout.txt) &
+    -journal-dir jnl -metrics-out metrics.prom -trace-out trace.json \
+    -ctrl-metrics-out ctrl.prom > stdout.txt) &
 coord=$!
 "$obsdir/llmpq-dist" -role worker -name w0 -connect "$distaddr" > /dev/null &
 "$obsdir/llmpq-dist" -role worker -name w1 -connect "$distaddr" > /dev/null &
 wait "$coord"
 wait
+grep -q 'llmpq_journal_sync_seconds_count 4$' "$obsdir/rec-ref/ctrl.prom" || {
+    echo "verify.sh: the reference run should fsync 4 times (plan, two members, done)" >&2; exit 1; }
 calls=$(awk '/^llmpq_dist_stage_calls_total/ { print int($2) }' "$obsdir/rec-ref/metrics.prom")
 [ "${calls:-0}" -gt 4 ] || {
     echo "verify.sh: reference run exported no stage-call total" >&2; exit 1; }
