@@ -57,6 +57,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCompletionRequest -fuzztime=15s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=15s ./internal/dist
 
+# Benchmark smoke: every benchmark under internal/ runs once, so the
+# BenchmarkReplan / BenchmarkColdOptimize rows CHANGES.md cites stay
+# runnable. Timings are not gated; rerun with -benchtime 2s to measure.
+.PHONY: bench-smoke
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # Everything CI runs.
 .PHONY: verify-all
-verify-all: verify verify-race fuzz-smoke
+verify-all: verify verify-race bench-smoke fuzz-smoke

@@ -50,8 +50,8 @@ func runChaos(profile string, seed int64, metricsOut, traceOut string, solveCach
 	}
 	if solveCache {
 		// The initial solve seeds the cache; the failover replan then
-		// warm-starts from it (timing rows and benefit tables survive the
-		// device loss).
+		// warm-starts from it (the benefit table survives the device loss,
+		// and the restore after a heal hits every combination).
 		spec.Cache = assigner.NewSolveCache()
 	}
 	res, err := assigner.Optimize(spec, nil)

@@ -77,7 +77,7 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "planner search workers for every experiment (0 = all CPUs); plans are identical at any setting")
 		chaosProf  = flag.String("chaos-profile", "", fmt.Sprintf("run the fault-injection demo with this profile (one of %v)", chaos.Profiles()))
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for -chaos-profile; same seed reproduces the fault run byte-for-byte")
-		solveCache = flag.Bool("solve-cache", true, "memoize solver tables across solves so replans warm-start; plans are byte-identical either way")
+		solveCache = flag.Bool("solve-cache", true, "memoize solve outcomes across solves so replans warm-start; plans are byte-identical either way")
 	)
 	flag.Parse()
 	assigner.SetDefaultParallelism(*parallel)

@@ -70,7 +70,7 @@ func main() {
 		chaosProfile   = flag.String("chaos-profile", "", "inject a seeded fault profile (conn-drop | partition | net-delay | coord-crash)")
 		chaosSeed      = flag.Int64("chaos-seed", 1, "seed for -chaos-profile")
 		chaosHorizon   = flag.Float64("chaos-horizon", 5.0, "wall-clock horizon in seconds the profile places faults in")
-		solveCache     = flag.Bool("solve-cache", true, "memoize solver tables so a lease-expiry replan warm-starts; the degraded plan is byte-identical either way")
+		solveCache     = flag.Bool("solve-cache", true, "memoize solve outcomes (seeded by one solve of the full fleet) so a lease-expiry replan warm-starts; the degraded plan is byte-identical either way")
 		replanOut      = flag.String("replan-out", "", "write the post-replan degraded plan JSON here (empty when the run never replanned)")
 		journalDir     = flag.String("journal-dir", "", "append a durable CRC-framed journal of plan/membership/progress transitions under this directory")
 		recoverRun     = flag.Bool("recover", false, "replay the journal in -journal-dir and resume the crashed run instead of starting fresh")
@@ -217,7 +217,15 @@ func strategyHash(path string) string {
 func runCoordinator(o coordOpts) {
 	spec, plan := loadStrategy(o.stratFile)
 	if o.solveCache {
+		// The plan comes from the strategy file, so nothing has been
+		// solved in this process yet: one solve of the full fleet seeds
+		// the cache, so a replan's survivors and a heal's restore
+		// warm-start from it. The seed only warms the cache — the run
+		// executes the strategy's plan either way.
 		spec.Cache = assigner.NewSolveCache()
+		if _, err := assigner.Optimize(spec, nil); err != nil {
+			fmt.Fprintf(os.Stderr, "llmpq-dist: solve-cache seed: %v (replans start cold)\n", err)
+		}
 	}
 	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {

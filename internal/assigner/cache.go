@@ -14,20 +14,20 @@ import (
 )
 
 // SolveCache memoizes the spec-derived artifacts Optimize otherwise
-// rebuilds from scratch on every call, so a replan after a fleet change
-// recomputes only what the change invalidated (DESIGN.md §13). Three
-// layers, coarsest savings first:
+// recomputes on every call, so a replan after a fleet change re-solves
+// only what the change invalidated (DESIGN.md §13). Two layers:
 //
 //   - combination outcomes: the full (plan, evaluation) result of one
 //     (device order, prefill micro-batch) inner solve. A repeated solve
 //     of an unchanged spec — the failover retry, the autoscaler probing
-//     the same fleet shape twice — returns without touching the DP.
-//   - timing rows: TPre/TDec per (GPU type, micro-batch) — the layer-timer
-//     sweeps BuildTables runs per device. Keyed by GPU *content*, not
-//     device index, so survivors of a device loss reuse their rows.
+//     the same fleet shape twice, the restore after a heal — returns
+//     without touching the DP.
 //   - benefit tables: the sorted ω-savings prefix sums of buildBenefits,
 //     which depend only on (Bits, Omega) — fleet changes never invalidate
 //     them.
+//
+// Cost tables (BuildTables) are not cached: they take microseconds, less
+// than hashing their keys would.
 //
 // Every key is a content hash of exactly the spec fields that feed the
 // cached computation (plus the timer's CacheKey identity), so a cache can
@@ -113,16 +113,6 @@ func (c *SolveCache) do(key string, fn func() (any, error)) (any, error) {
 	}
 	e.once.Do(func() { e.val, e.err = fn() })
 	return e.val, e.err
-}
-
-// timeRow memoizes one TPre/TDec row. The returned slice is shared and
-// read-only by contract (solvers only index into it).
-func (c *SolveCache) timeRow(key string, fn func() ([]float64, error)) ([]float64, error) {
-	v, err := c.do(key, func() (any, error) { return fn() })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]float64), nil
 }
 
 // benefits memoizes one benefit table (shared, read-only).
@@ -260,8 +250,8 @@ func (x *hasher) effMap(m map[int]float64) {
 }
 
 // hashGPU folds in every GPU field that can influence layer timings or
-// capacities. Keying rows by content rather than name means a renamed or
-// re-binned GPU type can never alias a stale row.
+// capacities. Keying by content rather than name means a renamed or
+// re-binned GPU type can never alias a stale combination.
 func (x *hasher) hashGPU(g hardware.GPU) {
 	x.str(g.Name)
 	x.f64(g.MemoryGB)
@@ -271,42 +261,6 @@ func (x *hasher) hashGPU(g hardware.GPU) {
 	x.f64(g.HourlyUSD)
 	x.effMap(g.ComputeEff)
 	x.effMap(g.MemEff)
-}
-
-// hashTimingBase folds in the spec fields every timer query depends on:
-// model shape, workload, candidate bits, KV precision, and grouping.
-func (s *Spec) hashTimingBase(x *hasher) {
-	x.str(s.Cfg.Name)
-	x.str(string(s.Cfg.Family))
-	x.i64(int64(s.Cfg.Hidden))
-	x.i64(int64(s.Cfg.FFN))
-	x.i64(int64(s.Cfg.Layers))
-	x.i64(int64(s.Cfg.Heads))
-	x.i64(int64(s.Cfg.VocabSize))
-	x.i64(int64(s.Cfg.MaxPosEmb))
-	x.boolean(s.Cfg.TiedEmbed)
-	x.i64(int64(s.Work.GlobalBatch))
-	x.i64(int64(s.Work.Prompt))
-	x.i64(int64(s.Work.Generate))
-	x.ints(s.Bits)
-	x.i64(int64(s.kvBits()))
-	x.i64(int64(s.groupSize()))
-}
-
-// rowBaseKey is the shared prefix of every timing-row key for this spec
-// and timer; gpuKey + the micro-batch complete the key.
-func (s *Spec) rowBaseKey(timerKey string) string {
-	x := newHasher()
-	x.str(timerKey)
-	s.hashTimingBase(x)
-	return x.sum()
-}
-
-// gpuKey is the content identity of one GPU type.
-func gpuKey(g hardware.GPU) string {
-	x := newHasher()
-	x.hashGPU(g)
-	return x.sum()
 }
 
 // benefitsKey identifies a benefit table: it depends only on the
@@ -338,7 +292,23 @@ func (s *Spec) benefitsKey() string {
 func (s *Spec) comboBaseKey(timerKey string) string {
 	x := newHasher()
 	x.str(timerKey)
-	s.hashTimingBase(x)
+	// Model shape, workload, candidate bits, KV precision and grouping:
+	// the fields every timer query depends on.
+	x.str(s.Cfg.Name)
+	x.str(string(s.Cfg.Family))
+	x.i64(int64(s.Cfg.Hidden))
+	x.i64(int64(s.Cfg.FFN))
+	x.i64(int64(s.Cfg.Layers))
+	x.i64(int64(s.Cfg.Heads))
+	x.i64(int64(s.Cfg.VocabSize))
+	x.i64(int64(s.Cfg.MaxPosEmb))
+	x.boolean(s.Cfg.TiedEmbed)
+	x.i64(int64(s.Work.GlobalBatch))
+	x.i64(int64(s.Work.Prompt))
+	x.i64(int64(s.Work.Generate))
+	x.ints(s.Bits)
+	x.i64(int64(s.kvBits()))
+	x.i64(int64(s.groupSize()))
 	x.i64(int64(len(s.Omega.Values)))
 	for _, row := range s.Omega.Values {
 		x.i64(int64(len(row)))

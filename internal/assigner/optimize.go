@@ -89,37 +89,13 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 	mbps := s.prefillCandidates()
 
 	// Build each micro-batch's cost tables once, up front; the inner
-	// solvers only ever read them. The builds are independent (BuildTables
-	// derives everything from the spec and the timer, which must be safe
-	// for concurrent use — ProfilerTimer is stateless), so they run on the
-	// same bounded pool the combination scan uses. Each result lands in
-	// its own slot and errors are reported for the lowest micro-batch
-	// index, so both the tables and any failure are identical to a serial
-	// build.
+	// solvers only ever read them. A build takes microseconds, so it runs
+	// serially and the first error — the lowest micro-batch index — is the
+	// one reported.
 	tables := make([]*Tables, len(mbps))
-	tableErrs := make([]error, len(mbps))
-	var tnext atomic.Int64
-	var twg sync.WaitGroup
-	builders := s.parallelism()
-	if builders > len(mbps) {
-		builders = len(mbps)
-	}
-	for w := 0; w < builders; w++ {
-		twg.Add(1)
-		go func() {
-			defer twg.Done()
-			for {
-				i := int(tnext.Add(1)) - 1
-				if i >= len(mbps) {
-					return
-				}
-				tables[i], tableErrs[i] = BuildTables(s, timer, mbps[i])
-			}
-		}()
-	}
-	twg.Wait()
-	for _, err := range tableErrs {
-		if err != nil {
+	for i, mb := range mbps {
+		var err error
+		if tables[i], err = BuildTables(s, timer, mb); err != nil {
 			return fail(err)
 		}
 	}

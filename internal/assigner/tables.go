@@ -95,38 +95,13 @@ func BuildTables(s *Spec, timer LayerTimer, prefillMB int) (*Tables, error) {
 		t.GroupMem[bi] = float64(g) * (s.Cfg.LayerWeightBytes(bits) +
 			s.Cfg.KVBytesPerLayer(s.Work.GlobalBatch, maxSeq, s.kvBits()))
 	}
-	// Timing rows depend on the GPU type, not the device index, so a
-	// SolveCache keys them by GPU content: same-type devices share one
-	// row, and a replan on survivors reuses every row the loss didn't
-	// touch. Cached rows are shared slices — read-only by contract.
-	var rowBase string
-	if s.Cache != nil {
-		if timerKey, ok := timerCacheKey(timer); ok {
-			rowBase = s.rowBaseKey(timerKey)
-		}
-	}
 	for d, dev := range s.Cluster.Devices {
 		t.Capacity[d] = dev.GPU.MemoryBytes() * (1 - s.memoryReserve())
 		var err error
-		if rowBase != "" {
-			gk := gpuKey(dev.GPU)
-			t.TPre[d], err = s.Cache.timeRow(fmt.Sprintf("pre|%s|%s|%d", rowBase, gk, prefillMB), func() ([]float64, error) {
-				return buildPrefillRow(s, timer, dev.GPU, prefillMB)
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.TDec[d], err = s.Cache.timeRow(fmt.Sprintf("dec|%s|%s|%d", rowBase, gk, decodeMB), func() ([]float64, error) {
-				return buildDecodeRow(s, timer, dev.GPU, decodeMB)
-			})
-		} else {
-			t.TPre[d], err = buildPrefillRow(s, timer, dev.GPU, prefillMB)
-			if err != nil {
-				return nil, err
-			}
-			t.TDec[d], err = buildDecodeRow(s, timer, dev.GPU, decodeMB)
+		if t.TPre[d], err = buildPrefillRow(s, timer, dev.GPU, prefillMB); err != nil {
+			return nil, err
 		}
-		if err != nil {
+		if t.TDec[d], err = buildDecodeRow(s, timer, dev.GPU, decodeMB); err != nil {
 			return nil, err
 		}
 	}

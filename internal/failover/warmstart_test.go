@@ -78,7 +78,7 @@ func TestReplanWarmMatchesCold(t *testing.T) {
 // every single-device-loss shrink and the full restore that follows it
 // must deep-equal a cold, cacheless Optimize on the same membership — or
 // both must be infeasible — at parallelism 1, 4 and 8. The restore must
-// return the pre-loss plan.
+// return the pre-loss plan without a single cache miss.
 func TestWarmTransitionsMatchColdOnBenchClusters(t *testing.T) {
 	pars := []int{1, 4, 8}
 	for _, id := range []int{3, 4, 5, 6, 7, 8} {
@@ -130,9 +130,15 @@ func TestWarmTransitionsMatchColdOnBenchClusters(t *testing.T) {
 				checkWarmOutcome(t, out, shrinkCold[dev], fmt.Sprintf("cluster %d par %d loss of %d", id, par, dev))
 
 				halt := &rt.RestoreHaltError{AtSec: 2, Watermark: w + 1, DurableTokens: (w + 1) * spec.Work.GlobalBatch, PrefillDone: true}
+				misses := spec.Cache.Stats().Misses
 				rout, err := Transition(&spec, res.Plan, nil, out, Members(spec.Cluster), halt, nil, nil, nil)
 				if err != nil {
 					t.Fatalf("cluster %d par %d restore of %d: %v", id, par, dev, err)
+				}
+				// The seeding solve already covered the full fleet, so the
+				// restore must be served entirely from the cache.
+				if got := spec.Cache.Stats().Misses; got != misses {
+					t.Errorf("cluster %d par %d restore of %d: %d cache misses, want 0", id, par, dev, got-misses)
 				}
 				checkWarmOutcome(t, rout, fullCold, fmt.Sprintf("cluster %d par %d restore of %d", id, par, dev))
 				if !reflect.DeepEqual(rout.Plan, res.Plan) {
