@@ -272,35 +272,32 @@ func (p *Plan) StageRange(j int) (lo, hi int, err error) {
 // LayerBits expands the per-group bits to per-layer bits for a model with
 // L layers.
 func (p *Plan) LayerBits(totalLayers int) []int {
-	g := p.Group
-	if g <= 1 {
-		g = 1
-	}
 	bits := make([]int, totalLayers)
 	for i := range bits {
-		gi := i / g
-		if gi >= len(p.GroupBits) {
-			gi = len(p.GroupBits) - 1
-		}
-		bits[i] = p.GroupBits[gi]
+		bits[i] = p.LayerBit(i)
 	}
 	return bits
 }
 
+// LayerBit is the bitwidth of layer i: its group's, and the last group's
+// for a layer past the last group.
+func (p *Plan) LayerBit(i int) int {
+	return p.GroupBits[min(i/max(p.Group, 1), len(p.GroupBits)-1)]
+}
+
+// StageLayers returns the layer range [lo, hi) of stage j for a model with
+// totalLayers layers.
+func (p *Plan) StageLayers(j, totalLayers int) (lo, hi int) {
+	g := max(p.Group, 1)
+	return p.Boundaries[j] * g, min(p.Boundaries[j+1]*g, totalLayers)
+}
+
 // StageLayerBits returns per-stage slices of per-layer bits.
 func (p *Plan) StageLayerBits(totalLayers int) [][]int {
-	g := p.Group
-	if g <= 1 {
-		g = 1
-	}
 	all := p.LayerBits(totalLayers)
 	out := make([][]int, p.NumStages())
-	for j := 0; j < p.NumStages(); j++ {
-		lo := p.Boundaries[j] * g
-		hi := p.Boundaries[j+1] * g
-		if hi > totalLayers {
-			hi = totalLayers
-		}
+	for j := range out {
+		lo, hi := p.StageLayers(j, totalLayers)
 		out[j] = all[lo:hi]
 	}
 	return out

@@ -303,6 +303,40 @@ func TestStaleBufferNeverAnswers(t *testing.T) {
 	})
 }
 
+// resetConn is a connection the peer reset: writes fail, while the
+// answers that arrived before the reset can still be read.
+type resetConn struct{ net.Conn }
+
+func (resetConn) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+
+// TestFailedSendKeepsAnswers: a batch that fails to send detaches its
+// worker but leaves the connection to its reader. A worker that answers
+// pass r and dies inside pass r + 1 resets the connection while later
+// passes are still being sent to it and pass r's answer may wait unread;
+// closing the connection there would drop that answer and land the loss
+// a pass early.
+func TestFailedSendKeepsAnswers(t *testing.T) {
+	co := &coordinator{ctx: context.Background(), pending: map[uint64]chan *Message{}}
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	w, m := newWire(resetConn{a}, nil), newMember("worker-a", state{phase: active})
+	m.attach(w)
+	f := &flight{req: &StageBatch{Stages: []int{0}, Batches: []int{4}, Round: 2}}
+	(&stageBuffer{co: co, flights: map[*member][]*flight{m: {f}}}).flush(m)
+	select {
+	case <-w.closed():
+		t.Error("a failed send closed the connection under its unread answers")
+	default:
+	}
+	if m.conn != nil || m.st.phase != detached {
+		t.Errorf("a failed send left the worker %v on %p, want it detached", m.st.phase, m.conn)
+	}
+	if f.w != nil || f.ch != nil {
+		t.Error("the batch that failed to send must wait to go again")
+	}
+}
+
 // TestAwaitReturnsAnswerBeforeClose: an answer routed before its
 // connection closed, or before its worker's lease expired, is returned,
 // not lost to the close. With a pass out ahead a worker can answer one
@@ -489,7 +523,7 @@ func (l *batchTap) observe(c *tapConn, frame []byte, written bool) {
 			l.problems = append(l.problems, fmt.Sprintf("round %d asked for, generate is %d", sb.Round, l.generate))
 		}
 		c.pass, c.out = pass, c.out+1
-		if l.peak = max(l.peak, c.out); c.out > 2 {
+		if l.peak = max(l.peak, c.out); c.out > passesInFlight {
 			l.problems = append(l.problems, fmt.Sprintf("%d batches unanswered at pass %d", c.out, pass))
 		}
 	case !written && m.Type == MsgStageBatchResult:
@@ -510,8 +544,9 @@ func (c countingTimer) Layer(gpu hardware.GPU, cfg model.Config, w profiler.Work
 // sends one request and one answer per worker per round — at most 0.4
 // frames per stage call — while the engine still makes one stage call
 // per task and the workers still evaluate every task. Each worker
-// receives its batches in pass order, one pass ahead and no further, and
-// never a round past the last.
+// receives its batches in pass order, at most passesInFlight passes out
+// at once and at some point exactly that many, and never a round past
+// the last.
 func TestFrameBudget(t *testing.T) {
 	s, err := experiments.SpecFor(3, experiments.DefaultWork)
 	if err != nil {
@@ -571,7 +606,7 @@ func TestFrameBudget(t *testing.T) {
 	for _, p := range ln.problems {
 		t.Error(p)
 	}
-	if ln.peak != 2 {
-		t.Errorf("a worker held at most %d batches unanswered; one pass ahead makes it 2", ln.peak)
+	if ln.peak != passesInFlight {
+		t.Errorf("a worker held at most %d batches unanswered, want %d", ln.peak, passesInFlight)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -376,6 +377,52 @@ func TestConnDropReconnect(t *testing.T) {
 	for i, werr := range join() {
 		if werr != nil {
 			t.Errorf("worker %d exit: %v", i, werr)
+		}
+	}
+}
+
+// TestConnDropAtRunEnd: a worker whose connection drops around the end
+// of the run — after any of the last four frames it carries (its last
+// answers, then the Bye) — still reattaches, is told Bye and exits
+// cleanly, instead of redialling a coordinator that is gone. A
+// connection carries the hello, the welcome, one batch and one answer
+// per pass, and the Bye; an hour-long heartbeat adds no frame.
+func TestConnDropAtRunEnd(t *testing.T) {
+	s := distSpec(t)
+	p := distPlan(t, s)
+	frames := 3 + 2*s.Work.Generate
+	for conn := 0; conn < 2; conn++ {
+		for after := frames - 3; after <= frames; after++ {
+			t.Run(fmt.Sprintf("conn%d/after%d", conn, after), func(t *testing.T) {
+				sched := &chaos.Schedule{Faults: []chaos.Fault{
+					{Kind: chaos.KindConnDrop, Conn: conn, AfterFrames: after},
+				}}
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				sim := obs.NewRegistry()
+				ln := NewFaultListener(listen(t), sched, sim, nil)
+				join := startWorkers(ctx, 2, ln.Addr().String(), func(i int, cfg *WorkerConfig) {
+					cfg.Retry = retry.Policy{MaxAttempts: 10, BaseDelaySec: 0.02, Factor: 2, MaxDelaySec: 0.2, JitterFrac: 0.2}
+				})
+				res, err := Serve(ctx, Config{
+					Listener: ln, Workers: 2, Spec: s, Plan: p,
+					Heartbeat: time.Hour, Lease: 2 * time.Second,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Replanned {
+					t.Error("a transient conn drop must heal without a replan")
+				}
+				for i, werr := range join() {
+					if werr != nil {
+						t.Errorf("worker %d exit: %v", i, werr)
+					}
+				}
+				if n := sim.Counter("llmpq_dist_injected_conn_drops_total").Value(); n != 1 {
+					t.Errorf("%.0f injected conn drops, want 1", n)
+				}
+			})
 		}
 	}
 }

@@ -84,7 +84,7 @@ func (fl *faultListener) Accept() (net.Conn, error) {
 // counts the complete frames the connection carries — the embedded
 // parser finds them in the read byte stream, and each write is one frame
 // (writeFrame) — so a conn-drop severs after an exact frame count. Where
-// in the conversation that falls can vary (a worker may hold two
+// in the conversation that falls can vary (a worker may hold up to eight
 // batches, and heartbeats interleave), but every stage time is a pure
 // function, so the run heals to the same result wherever it lands.
 type faultConn struct {

@@ -11,12 +11,13 @@
 // scheduling decisions. Because every task of a round is known before
 // the round starts, a worker evaluates its whole share of a round in one
 // round trip (StageBatch), and the coordinator sends each round to every
-// worker at once, one round ahead of the engine, collecting a worker's
-// answer only when the engine first needs one of its stages. Liveness is layered on top with worker→
-// coordinator heartbeats and a lease: a worker that stays silent past
-// its lease is declared lost, which surfaces in the engine as a
-// runtime.StageLostError and drives the same failover.Transition →
-// watermark-resume path a chaos permanent crash does.
+// worker at once, up to seven rounds ahead of the engine, collecting a
+// worker's answer only when the engine first needs one of its stages.
+// Liveness is layered on top with worker→coordinator heartbeats and a
+// lease: a worker that stays silent past its lease is declared lost,
+// which surfaces in the engine as a runtime.StageLostError and drives
+// the same failover.Transition → watermark-resume path a chaos
+// permanent crash does.
 package dist
 
 import (

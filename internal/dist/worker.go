@@ -33,8 +33,8 @@ type WorkerConfig struct {
 	// tasks — the test hook for lease-expiry failover without killing a
 	// process. Death takes the whole batch that crosses the count: the
 	// worker answers none of it, as a crash mid-batch would. Batches
-	// arrive a pass ahead of the engine, so the count includes a pass a
-	// run that halts mid-pass never consumes.
+	// arrive up to seven passes ahead of the engine, so the count
+	// includes passes a run that halts mid-pass never consumes.
 	FailAfterCalls int
 	// Rejoin marks every hello as a heal-capable rejoin: a coordinator
 	// running with Config.Rejoin re-admits this name even after its

@@ -645,8 +645,9 @@ func StageTime(s *assigner.Spec, p *assigner.Plan, timer assigner.LayerTimer, st
 	d := p.Order[stage]
 	gpu := s.Cluster.Devices[d].GPU
 	var total float64
-	bits := p.StageLayerBits(s.Cfg.Layers)[stage]
-	for _, b := range bits {
+	lo, hi := p.StageLayers(stage, s.Cfg.Layers)
+	for i := lo; i < hi; i++ {
+		b := p.LayerBit(i)
 		var w profiler.Workload
 		if prefill {
 			w = profiler.Workload{Batch: batch, Prompt: s.Work.Prompt, Prefill: true, Bits: b, KV: s.KVBits}

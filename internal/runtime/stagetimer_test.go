@@ -176,3 +176,23 @@ func TestMicroBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestStageTimeAllocs: StageTime walks the stage's layers in place, so
+// pricing a task with the profiler allocates nothing — every in-process
+// engine task and every remote worker evaluation goes through it.
+func TestStageTimeAllocs(t *testing.T) {
+	s, p, _ := chaosBaseline(t)
+	var timer assigner.LayerTimer = assigner.ProfilerTimer{}
+	allocs := testing.AllocsPerRun(100, func() {
+		for stage := 0; stage < p.NumStages(); stage++ {
+			for _, prefill := range []bool{true, false} {
+				if _, err := StageTime(s, p, timer, stage, p.DecodeMB, 3, prefill); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("StageTime made %.0f allocations per pass over the stages, want 0", allocs)
+	}
+}

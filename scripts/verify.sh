@@ -67,9 +67,13 @@ distaddr="127.0.0.1:$((20000 + RANDOM % 20000))"
     -listen "$distaddr" -workers 2 > "$obsdir/dist-coord.txt" &
 coord=$!
 "$obsdir/llmpq-dist" -role worker -name w0 -connect "$distaddr" > /dev/null &
+w0=$!
 "$obsdir/llmpq-dist" -role worker -name w1 -connect "$distaddr" > /dev/null &
+w1=$!
 wait "$coord"
-wait
+for w in "$w0" "$w1"; do
+    wait "$w" || { echo "verify.sh: a worker of the clean run exited nonzero" >&2; exit 1; }
+done
 diff "$obsdir/dist-single.txt" "$obsdir/dist-coord.txt" || {
     echo "verify.sh: multi-process run diverged from the single-process run" >&2; exit 1; }
 echo "== distributed failover smoke (SIGKILL a worker mid-decode, expect replan + token conservation) =="
@@ -181,9 +185,15 @@ for run in 1 2; do
         -metrics-out metrics.prom -trace-out trace.json > stdout.txt) &
     coord=$!
     "$obsdir/llmpq-dist" -role worker -name w0 -connect "$distaddr" > /dev/null &
+    w0=$!
     "$obsdir/llmpq-dist" -role worker -name w1 -connect "$distaddr" > /dev/null &
+    w1=$!
     wait "$coord"
-    wait
+    # A conn drop must heal into a clean exit: a worker stranded by it
+    # would redial the finished coordinator until its retry budget ran out.
+    for w in "$w0" "$w1"; do
+        wait "$w" || { echo "verify.sh: a worker of the conn-drop run exited nonzero" >&2; exit 1; }
+    done
 done
 for f in metrics.prom trace.json stdout.txt; do
     diff "$obsdir/dchaos1/$f" "$obsdir/dchaos2/$f" || {
