@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // The structured DP solver (DESIGN.md §5.1).
@@ -71,13 +69,6 @@ func StageConstants(t *Tables, order []int, j int) (pre, dec, mem float64) {
 	}
 	mem += t.TempMem
 	return pre, dec, mem
-}
-
-// pairOption is one stage precision mixture: cntB groups at Bits[biB]
-// (higher precision), the remaining groups at Bits[biA].
-type pairOption struct {
-	biA, biB int
-	cntB     int
 }
 
 // benefitTable precomputes, for each bit pair and each range start, the
@@ -300,10 +291,10 @@ func newMixTable(t *Tables, order []int, bt *benefitTable, kmax int) *mixTable {
 	return mt
 }
 
-// dpBuf is one goroutine's scratch for its DP passes: the cost and choice
-// grids, flattened as [j*(L+1) + l], and the mixtures of one (stage, group
-// count) cell that meet a pass's time caps. A sweep goroutine reuses one
-// across its ε passes.
+// dpBuf is the scratch of a solveStructured call's DP passes: the cost and
+// choice grids, flattened as [j*(L+1) + l], and the mixtures of one (stage,
+// group count) cell that meet a pass's time caps. Every pass of the call
+// reuses the one buffer.
 type dpBuf struct {
 	cost   []float64
 	choice []dpChoice
@@ -428,59 +419,12 @@ func benefitsFor(s *Spec) (*benefitTable, error) {
 	return s.Cache.benefits("benefits|"+s.benefitsKey(), build)
 }
 
-// workPool is the spare-worker budget of one Optimize call: the slots of
-// Spec.Parallelism not consumed by the outer (order × micro-batch) scan.
-// The ε-cap sweep inside solveStructured borrows extra goroutines from it
-// non-blockingly — when the outer scan is wide enough to use every slot,
-// tryAcquire fails and the sweep stays serial, so the total goroutine
-// count never exceeds the requested parallelism. A nil pool always
-// declines.
-type workPool struct {
-	sem chan struct{}
-}
-
-func newWorkPool(spare int) *workPool {
-	if spare <= 0 {
-		return nil
-	}
-	return &workPool{sem: make(chan struct{}, spare)}
-}
-
-func (p *workPool) tryAcquire() bool {
-	if p == nil {
-		return false
-	}
-	select {
-	case p.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (p *workPool) release() {
-	if p != nil {
-		<-p.sem
-	}
-}
-
-// sweepSlot is one ε-grid entry's outcome, reduced in grid order.
-type sweepSlot struct {
-	plan *Plan
-	ev   Evaluation
-	ok   bool
-	err  error
-}
-
 // solveStructured runs the ε-constraint scan for one (order, tables) pair
 // and returns the best exactly-evaluated feasible plan, or nil. The grid
-// entries are independent re-solves over the shared read-only benefit and
-// mixture tables, so they run concurrently on whatever spare workers pool
-// grants, each goroutine reusing one DP buffer; each entry lands in its
-// own slot and the slots are reduced in grid index order with the
-// strict-improvement rule, keeping the winner — and any error reported —
-// byte-identical to the serial sweep.
-func solveStructured(t *Tables, order []int, bt *benefitTable, pool *workPool) (*Plan, *Evaluation, error) {
+// passes run in index order on one DP buffer over the shared read-only
+// benefit and mixture tables; the first error is returned, and a pass's
+// plan replaces the incumbent only on strict improvement.
+func solveStructured(t *Tables, order []int, bt *benefitTable) (*Plan, *Evaluation, error) {
 	s := t.Spec
 	n := len(order)
 	kmax := s.layerGroups() - (n - 1)
@@ -515,51 +459,20 @@ func solveStructured(t *Tables, order []int, bt *benefitTable, pool *workPool) (
 		{0.92, 0.92}, {0.82, 0.82}, {0.7, 0.7}, {0.55, 0.55}, {0.4, 0.4},
 		{1, 0.7}, {0.7, 1}, {1, 0.45}, {0.45, 1}, {0.85, 0.6}, {0.6, 0.85},
 	}
-	slots := make([]sweepSlot, len(grid))
-	run := func(i int, buf *dpBuf) {
-		fc := grid[i]
+	for _, fc := range grid {
 		p, err := solveDP(t, order, bt, mt, buf, fc[0]*maxPre, fc[1]*maxDec)
 		if err != nil {
-			slots[i].err = err
-			return
+			return nil, nil, err
 		}
 		if p == nil {
-			return
+			continue
 		}
 		ev, err := Evaluate(t, p)
 		if err != nil {
-			slots[i].err = err
-			return
+			return nil, nil, err
 		}
-		slots[i] = sweepSlot{plan: p, ev: ev, ok: true}
-	}
-	var next atomic.Int64
-	claim := func(buf *dpBuf) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(grid) {
-				return
-			}
-			run(i, buf)
-		}
-	}
-	var wg sync.WaitGroup
-	for spawned := 0; spawned < len(grid)-1 && pool.tryAcquire(); spawned++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pool.release()
-			claim(newDPBuf(n, s.layerGroups(), mt))
-		}()
-	}
-	claim(buf)
-	wg.Wait()
-	for i := range slots {
-		if slots[i].err != nil {
-			return nil, nil, slots[i].err
-		}
-		if slots[i].ok && slots[i].ev.Feasible && slots[i].ev.Objective < bestEv.Objective {
-			bestPlan, bestEv = slots[i].plan, slots[i].ev
+		if ev.Feasible && ev.Objective < bestEv.Objective {
+			bestPlan, bestEv = p, ev
 		}
 	}
 	if !bestEv.Feasible {

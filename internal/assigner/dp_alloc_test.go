@@ -10,7 +10,7 @@ import "testing"
 // the 11 grid entries, and a polish pass cloning or evaluating every
 // candidate it prices would add hundreds, both more than allocSlack.
 const (
-	structuredAllocs = 174
+	structuredAllocs = 168
 	allocSlack       = 8
 )
 
@@ -33,7 +33,7 @@ func allocInstance(t *testing.T) (*Tables, []int, *benefitTable) {
 func TestSolveStructuredAllocs(t *testing.T) {
 	tb, order, bt := allocInstance(t)
 	got := testing.AllocsPerRun(10, func() {
-		if _, _, err := solveStructured(tb, order, bt, nil); err != nil {
+		if _, _, err := solveStructured(tb, order, bt); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -64,7 +64,7 @@ func TestDPPassReusesBuffer(t *testing.T) {
 // allocations.
 func TestEvaluateAllocs(t *testing.T) {
 	tb, order, bt := allocInstance(t)
-	p, _, err := solveStructured(tb, order, bt, nil)
+	p, _, err := solveStructured(tb, order, bt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,8 +327,8 @@ func sameFloat(a, b float64) bool {
 // TestDPMatchesOracle is the differential check of the structured-DP
 // kernel: on seeded random instances the benefit table must equal the
 // oracle's cell for cell, and every DP pass — the unconstrained one, the
-// ε grid's and random caps, run in sequence on one reused buffer as a
-// sweep goroutine does — must return a deep-equal plan and a bit-equal
+// ε grid's and random caps, run in sequence on one reused buffer as
+// solveStructured does — must return a deep-equal plan and a bit-equal
 // cost table. Quantized instances make costs tie, which pins the order in
 // which a cell meets its candidates, and put stage times exactly on caps.
 func TestDPMatchesOracle(t *testing.T) {

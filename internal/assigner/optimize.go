@@ -62,8 +62,9 @@ var testComboFault func(idx int) error
 // solve the inner bitwidth-assignment / layer-partition problem with the
 // spec's Method; return the plan with the best exact objective.
 //
-// The scan runs on a bounded worker pool of Spec.Parallelism goroutines.
-// Each prefill micro-batch's Tables are built once and shared read-only by
+// The scan runs on a bounded worker pool of Spec.Parallelism goroutines,
+// the solve's only concurrency: each inner solve runs serially. Each
+// prefill micro-batch's Tables are built once and shared read-only by
 // every order-worker; results land in a slot indexed by the canonical
 // combination index (micro-batch index × #orders + order index) and are
 // reduced in that index order with the serial search's strict-improvement
@@ -116,10 +117,6 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 	if workers > combos {
 		workers = combos
 	}
-	// Parallelism slots the outer scan leaves unused are lent to the
-	// ε-cap sweeps inside solveStructured, so a narrow scan (one order,
-	// one micro-batch — the common replan shape) still fills the budget.
-	pool := newWorkPool(s.parallelism() - workers)
 	comboBase := ""
 	if s.Cache != nil {
 		if timerKey, ok := timerCacheKey(timer); ok {
@@ -130,10 +127,10 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 		t := tables[idx/len(orders)]
 		order := orders[idx%len(orders)]
 		if comboBase == "" {
-			return solveInner(s, t, order, bt, pool)
+			return solveInner(s, t, order, bt)
 		}
 		return s.Cache.combo(comboKey(comboBase, t.PrefillMB, order), func() (*Plan, *Evaluation, error) {
-			return solveInner(s, t, order, bt, pool)
+			return solveInner(s, t, order, bt)
 		})
 	}
 	// Early abort (ROADMAP): a hard solver error cancels the context so
@@ -203,10 +200,10 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 	return &Result{Plan: best, Eval: bestEv, Solve: solve, Explored: explored}, nil
 }
 
-func solveInner(s *Spec, t *Tables, order []int, bt *benefitTable, pool *workPool) (*Plan, *Evaluation, error) {
+func solveInner(s *Spec, t *Tables, order []int, bt *benefitTable) (*Plan, *Evaluation, error) {
 	switch s.Method {
 	case MethodDP:
-		return solveStructured(t, order, bt, pool)
+		return solveStructured(t, order, bt)
 	case MethodILP:
 		plan, err := solveILP(t, order, s.TimeLimit)
 		if err != nil || plan == nil {

@@ -252,7 +252,7 @@ func checkTransferStarts(t testing.TB, s *Spec) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPlan, gotEv, err := solveInner(s, tb, order, bt, nil)
+			gotPlan, gotEv, err := solveInner(s, tb, order, bt)
 			if err != nil {
 				t.Fatal(err)
 			}

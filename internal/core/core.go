@@ -124,7 +124,7 @@ func BuildSpec(r Request) (*assigner.Spec, error) {
 	} else {
 		omega = indicator.Synthetic(cfg, r.Bits, r.OmegaSeed)
 	}
-	omega, err = normalize(omega)
+	omega, err = omega.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -145,30 +145,6 @@ func BuildSpec(r Request) (*assigner.Spec, error) {
 		KVBits:      r.KVBits,
 		Parallelism: r.Parallelism,
 	}, nil
-}
-
-// normalize rescales ω so uniform INT4 totals 1 (θ's reference scale).
-func normalize(o indicator.Omega) (indicator.Omega, error) {
-	var total float64
-	for l := 0; l < o.Layers(); l++ {
-		w, err := o.At(l, 4)
-		if err != nil {
-			return indicator.Omega{}, err
-		}
-		total += w
-	}
-	if total <= 0 {
-		return indicator.Omega{}, fmt.Errorf("core: degenerate omega")
-	}
-	out := indicator.Omega{Bits: o.Bits}
-	for l := 0; l < o.Layers(); l++ {
-		row := make([]float64, len(o.Bits))
-		for bi := range o.Bits {
-			row[bi] = o.Values[l][bi] / total
-		}
-		out.Values = append(out.Values, row)
-	}
-	return out, nil
 }
 
 // Plan runs the LLM-PQ assigner on a request.

@@ -373,12 +373,8 @@ func (co *coordinator) serve(ctx context.Context, cfg Config) (*Result, error) {
 	co.members = make(map[string]*member)
 	co.joined = make(chan struct{})
 	co.pending = make(map[uint64]chan *Message)
-	if cfg.Obs != nil {
-		co.stageCalls = cfg.Obs.Counter("llmpq_dist_stage_calls_total")
-	}
-	if cfg.CtrlObs != nil {
-		co.stageWait = cfg.CtrlObs.Histogram("llmpq_dist_stage_wait_seconds", obs.TimeBuckets())
-	}
+	co.stageCalls = cfg.Obs.Counter("llmpq_dist_stage_calls_total")
+	co.stageWait = cfg.CtrlObs.Histogram("llmpq_dist_stage_wait_seconds", obs.TimeBuckets())
 	if err := co.openJournal(); err != nil {
 		return nil, err
 	}
@@ -440,9 +436,7 @@ func (co *coordinator) openJournal() error {
 		_ = w.Close() //llmpq:allow(errdrop): recovery is failing anyway; the decode error is the one to report
 		return fmt.Errorf("dist: recover: %w", err)
 	}
-	if ctrl := co.cfg.CtrlObs; ctrl != nil {
-		ctrl.Counter("llmpq_journal_replayed_records").Add(float64(st.Records))
-	}
+	co.cfg.CtrlObs.Counter("llmpq_journal_replayed_records").Add(float64(st.Records))
 	if rep.TornBytes > 0 {
 		co.ctrlInc("llmpq_journal_torn_tail_total")
 		co.cfg.Logf("journal: truncated a %d-byte torn tail (the crash landed mid-append)", rep.TornBytes)
@@ -871,9 +865,7 @@ func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64,
 	}
 	sec := b.times[k][0]
 	b.times[k] = b.times[k][1:]
-	if co.stageCalls != nil {
-		co.stageCalls.Inc()
-	}
+	co.stageCalls.Inc()
 	// Injected-crash seam: dying on the Nth answered call is deterministic
 	// (the engine issues stage calls in virtual-time order), so recovery
 	// tests can crash at a reproducible point.
@@ -1347,13 +1339,9 @@ func (co *coordinator) bye(grace context.Context, m *member, reason string) {
 }
 
 func (co *coordinator) setWorkersGauge(n int) {
-	if co.cfg.Obs != nil {
-		co.cfg.Obs.Gauge("llmpq_dist_workers").Set(float64(n))
-	}
+	co.cfg.Obs.Gauge("llmpq_dist_workers").Set(float64(n))
 }
 
 func (co *coordinator) ctrlInc(name string) {
-	if co.cfg.CtrlObs != nil {
-		co.cfg.CtrlObs.Counter(name).Inc()
-	}
+	co.cfg.CtrlObs.Counter(name).Inc()
 }

@@ -201,7 +201,5 @@ func (fc *faultConn) countFrames(b []byte) {
 }
 
 func (fc *faultConn) trip(reg *obs.Registry, name string) {
-	if reg != nil {
-		reg.Counter(name).Inc()
-	}
+	reg.Counter(name).Inc()
 }

@@ -77,12 +77,10 @@ type wire struct {
 // newWire wraps a connection. ctrl may be nil for an uninstrumented
 // link.
 func newWire(c net.Conn, ctrl *obs.Registry) *wire {
-	w := &wire{c: c, br: bufio.NewReader(c), closedCh: make(chan struct{})}
-	if ctrl != nil {
-		w.frames = ctrl.Counter("llmpq_dist_frames_sent_total")
-		w.bytes = ctrl.Counter("llmpq_dist_bytes_sent_total")
+	return &wire{c: c, br: bufio.NewReader(c), closedCh: make(chan struct{}),
+		frames: ctrl.Counter("llmpq_dist_frames_sent_total"),
+		bytes:  ctrl.Counter("llmpq_dist_bytes_sent_total"),
 	}
-	return w
 }
 
 // send marshals and writes one message as a frame.
@@ -99,10 +97,8 @@ func (w *wire) send(m *Message) error {
 	if err := writeFrame(w.c, b); err != nil {
 		return err
 	}
-	if w.frames != nil {
-		w.frames.Inc()
-		w.bytes.Add(float64(len(b) + 4))
-	}
+	w.frames.Inc()
+	w.bytes.Add(float64(len(b) + 4))
 	return nil
 }
 

@@ -327,9 +327,6 @@ type coordJournal struct {
 }
 
 func newCoordJournal(w *journal.Writer, st durable, ctrl *obs.Registry, tap func(durable)) *coordJournal {
-	if ctrl == nil {
-		ctrl = obs.NewRegistry() // no ctrl registry: the counts go nowhere
-	}
 	if w != nil {
 		syncSec := ctrl.Histogram("llmpq_journal_sync_seconds", obs.TimeBuckets())
 		w.OnSync = func(d time.Duration) { syncSec.Observe(d.Seconds()) }

@@ -292,7 +292,5 @@ func (ws *workerState) evalBatch(req *StageBatch) (res *StageBatchResult, alive 
 }
 
 func (ws *workerState) ctrlInc(name string) {
-	if ws.cfg.CtrlObs != nil {
-		ws.cfg.CtrlObs.Counter(name).Inc()
-	}
+	ws.cfg.CtrlObs.Counter(name).Inc()
 }

@@ -31,7 +31,7 @@ func ExtCost() (*Table, []CostRow, error) {
 		}
 		_ = cfg
 		s.Cluster = cl
-		omega, err := normalizeOmega(indicator.Synthetic(s.Cfg, Bits, OmegaSeed))
+		omega, err := indicator.Synthetic(s.Cfg, Bits, OmegaSeed).Normalize()
 		if err != nil {
 			return err
 		}

@@ -117,7 +117,7 @@ func SpecFor(clusterID int, work assigner.Workload) (*assigner.Spec, error) {
 	}
 	// Normalize ω so a uniform INT4 model totals 1 — this puts the paper's
 	// θ values (Table 9) on the scale they were tuned for.
-	omega, err := normalizeOmega(indicator.Synthetic(cfg, Bits, OmegaSeed))
+	omega, err := indicator.Synthetic(cfg, Bits, OmegaSeed).Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func baselineSpec(clusterID int, work assigner.Workload) (*assigner.Spec, error)
 		return nil, err
 	}
 	s.Group = 1
-	omega, err := normalizeOmega(indicator.Synthetic(s.Cfg, Bits, OmegaSeed))
+	omega, err := indicator.Synthetic(s.Cfg, Bits, OmegaSeed).Normalize()
 	if err != nil {
 		return nil, err
 	}

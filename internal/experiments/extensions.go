@@ -196,7 +196,7 @@ func ExtTP() (*Table, []TPRow, error) {
 }
 
 func mustNormalizedSynthetic(cfg model.Config) indicator.Omega {
-	om, err := normalizeOmega(indicator.Synthetic(cfg, Bits, OmegaSeed))
+	om, err := indicator.Synthetic(cfg, Bits, OmegaSeed).Normalize()
 	if err != nil {
 		panic(err)
 	}

@@ -14,32 +14,6 @@ import (
 	"repro/internal/quant"
 )
 
-// normalizeOmega rescales ω so a uniform INT4 assignment totals 1 — the
-// paper's trick to "ensure that different indicators lead to similar
-// inference latency, eliminating the influence of value range" (§6.5).
-func normalizeOmega(o indicator.Omega) (indicator.Omega, error) {
-	var total float64
-	for l := 0; l < o.Layers(); l++ {
-		w, err := o.At(l, 4)
-		if err != nil {
-			return indicator.Omega{}, err
-		}
-		total += w
-	}
-	if total <= 0 {
-		return indicator.Omega{}, fmt.Errorf("experiments: degenerate omega")
-	}
-	out := indicator.Omega{Bits: o.Bits}
-	for l := 0; l < o.Layers(); l++ {
-		row := make([]float64, len(o.Bits))
-		for bi := range o.Bits {
-			row[bi] = o.Values[l][bi] / total
-		}
-		out.Values = append(out.Values, row)
-	}
-	return out, nil
-}
-
 // Table6Row is one indicator-comparison result.
 type Table6Row struct {
 	Method   string
@@ -100,7 +74,7 @@ func Table6() (*Table, []Table6Row, error) {
 		{"Hessian", hessOmega, hessTime},
 		{"LLM-PQ (variance)", varOmega, varTime},
 	} {
-		norm, err := normalizeOmega(c.omega)
+		norm, err := c.omega.Normalize()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -163,7 +137,7 @@ func Table8() (*Table, []Table8Row, error) {
 			}
 			s.Group = strat.group
 			s.Method = strat.method
-			norm, err := normalizeOmega(indicator.Synthetic(s.Cfg, Bits, OmegaSeed))
+			norm, err := indicator.Synthetic(s.Cfg, Bits, OmegaSeed).Normalize()
 			if err != nil {
 				return nil, nil, err
 			}

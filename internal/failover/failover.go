@@ -348,10 +348,8 @@ func Transition(spec *assigner.Spec, plan *assigner.Plan, timer assigner.LayerTi
 	// Flush the cache's deterministic hit/miss counters alongside the
 	// transition they served (no-op when spec.Cache or reg is nil).
 	spec.Cache.Export(reg)
-	if ctrlReg != nil {
-		//llmpq:allow(simwallclock): wall-clock observation on the control registry only
-		ctrlReg.Histogram(out.direction().solveSeconds, obs.TimeBuckets()).Observe(time.Since(solveStart).Seconds())
-	}
+	//llmpq:allow(simwallclock): wall-clock observation on the control registry only
+	ctrlReg.Histogram(out.direction().solveSeconds, obs.TimeBuckets()).Observe(time.Since(solveStart).Seconds())
 	return out, nil
 }
 
@@ -427,17 +425,15 @@ func Observe(reg *obs.Registry, spans *obs.SpanRecorder, out *Outcome) {
 	} else {
 		at, tid = out.Lost.AtSec, out.Lost.Stage
 	}
-	if reg != nil {
-		reg.Counter(d.total).Inc()
-		reg.Gauge(d.devices).Set(float64(len(devices)))
-		reg.Gauge(d.moved).Set(float64(out.MovedLayers))
-		reg.Gauge(d.bytes).Set(out.Migration.TotalBytes)
-		reg.Gauge(d.secs).Set(out.Migration.TransferSec)
-		reg.Gauge(d.resume).Set(float64(out.StartRound))
-		if d.returns != "" {
-			for range devices {
-				reg.Counter(d.returns).Inc()
-			}
+	reg.Counter(d.total).Inc()
+	reg.Gauge(d.devices).Set(float64(len(devices)))
+	reg.Gauge(d.moved).Set(float64(out.MovedLayers))
+	reg.Gauge(d.bytes).Set(out.Migration.TotalBytes)
+	reg.Gauge(d.secs).Set(out.Migration.TransferSec)
+	reg.Gauge(d.resume).Set(float64(out.StartRound))
+	if d.returns != "" {
+		for range devices {
+			reg.Counter(d.returns).Inc()
 		}
 	}
 	if spans != nil {
@@ -551,9 +547,7 @@ func (c *Controller) replan(sched *chaos.Schedule, lost *rt.DeviceLostError) (Re
 			// in would trade a migrate-back bill for capacity about to
 			// vanish again. Serve the rest of the run degraded.
 			rep.Quarantined = true
-			if c.Obs != nil {
-				c.Obs.Counter(metricHealQuarantined).Inc()
-			}
+			c.Obs.Counter(metricHealQuarantined).Inc()
 		} else {
 			// The device stabilizes RecoverAfterSec after each loss, flaps
 			// included, then must hold its lease for the dwell. The resumed

@@ -67,6 +67,42 @@ func (o Omega) Total(assignment []int) (float64, error) {
 	return sum, nil
 }
 
+// UniformTotal is Total of the assignment that puts every layer at bits.
+func (o Omega) UniformTotal(bits int) (float64, error) {
+	var sum float64
+	for l := range o.Values {
+		v, err := o.At(l, bits)
+		if err != nil {
+			return 0, err
+		}
+		sum += v
+	}
+	return sum, nil
+}
+
+// Normalize rescales ω so a uniform INT4 assignment totals 1: θ's
+// reference scale, and the paper's trick to "ensure that different
+// indicators lead to similar inference latency, eliminating the influence
+// of value range" (§6.5).
+func (o Omega) Normalize() (Omega, error) {
+	total, err := o.UniformTotal(4)
+	if err != nil {
+		return Omega{}, err
+	}
+	if total <= 0 {
+		return Omega{}, fmt.Errorf("indicator: degenerate omega (uniform INT4 total %.3g)", total)
+	}
+	out := Omega{Bits: o.Bits}
+	for l := range o.Values {
+		row := make([]float64, len(o.Bits))
+		for bi := range o.Bits {
+			row[bi] = o.Values[l][bi] / total
+		}
+		out.Values = append(out.Values, row)
+	}
+	return out, nil
+}
+
 // Variance computes the paper's variance indicator from a calibrated
 // reference model: ω_{i,b} = Σ_o D_W · S_W(b)² · G(X_o), with
 // G = Var[X]/4 for deterministic rounding and (E[X]² + Var[X])/6 for

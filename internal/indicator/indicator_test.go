@@ -283,3 +283,35 @@ func TestOmegaErrors(t *testing.T) {
 		t.Error("expected layer mismatch error")
 	}
 }
+
+// TestNormalize: UniformTotal equals Total of the uniform assignment bit
+// for bit, Normalize divides every entry by the uniform-INT4 total, and a
+// table without INT4 or with a zero INT4 total is rejected.
+func TestNormalize(t *testing.T) {
+	o := Random(6, bits, 3)
+	want, err := o.Total(uniformAssignment(6, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := o.UniformTotal(4)
+	if err != nil || total != want {
+		t.Fatalf("UniformTotal(4) = %v, %v; want Total's %v", total, err, want)
+	}
+	n, err := o.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range o.Values {
+		for bi := range o.Bits {
+			if got := n.Values[l][bi]; got != o.Values[l][bi]/total {
+				t.Errorf("layer %d bits %d: %v, want %v", l, o.Bits[bi], got, o.Values[l][bi]/total)
+			}
+		}
+	}
+	if _, err := (Omega{Bits: []int{8, 16}, Values: [][]float64{{1, 0}}}).Normalize(); err == nil {
+		t.Error("expected an error for a table without INT4")
+	}
+	if _, err := (Omega{Bits: []int{4}, Values: [][]float64{{0}}}).Normalize(); err == nil {
+		t.Error("expected an error for a zero uniform-INT4 total")
+	}
+}

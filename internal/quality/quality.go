@@ -237,14 +237,9 @@ func NewScorer(modelName string, omega indicator.Omega) (*Scorer, error) {
 	if !ok {
 		return nil, fmt.Errorf("quality: no published anchor for %q", modelName)
 	}
-	// Total ω of uniform INT4.
-	var total float64
-	for l := 0; l < omega.Layers(); l++ {
-		w, err := omega.At(l, 4)
-		if err != nil {
-			return nil, err
-		}
-		total += w
+	total, err := omega.UniformTotal(4)
+	if err != nil {
+		return nil, err
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("quality: degenerate omega (uniform INT4 total %.3g)", total)
