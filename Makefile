@@ -34,6 +34,17 @@ vet:
 verify-race:
 	$(GO) test -race ./internal/runtime/... ./internal/online/... ./internal/simclock/... ./internal/obs/... ./internal/tp/... ./internal/assigner/... ./internal/lp/... ./internal/ilp/... ./internal/chaos/... ./internal/failover/... ./internal/core/retry/... ./internal/dist/... ./internal/journal/... ./internal/serve/... ./internal/nn/... ./internal/quality/... ./internal/indicator/...
 
+# Stress lane: the dist tests that pin an interleaving — where a worker
+# death lands, the frame budget, a conn drop at the end of a run or
+# mid-handshake, and the coordinator core's failed-send, answer-before-
+# close and welcome-before-attach orders — ten times each at GOMAXPROCS
+# 2 and 4. scripts/verify.sh runs this target, so the test list lives
+# only here.
+STRESS_DIST := TestWorkerDeathLanding|TestFrameBudget|TestConnDropAtRunEnd|TestHandshakeConnDropRace|TestFailedSendKeepsAnswers|TestAwaitReturnsAnswerBeforeClose|TestWelcomePrecedesAttach
+.PHONY: stress-dist
+stress-dist:
+	$(GO) test -count=10 -cpu 2,4 -run '^($(STRESS_DIST))$$' ./internal/dist
+
 # Coverage gate: aggregate statement coverage over ./internal/... must not
 # drop below COVER_FLOOR (percent, measured when the gate was introduced;
 # raise it when coverage improves, never lower it to make a PR pass).
@@ -66,4 +77,4 @@ bench-smoke:
 
 # Everything CI runs.
 .PHONY: verify-all
-verify-all: verify verify-race bench-smoke fuzz-smoke
+verify-all: verify verify-race stress-dist bench-smoke fuzz-smoke

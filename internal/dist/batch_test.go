@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"slices"
@@ -303,12 +304,6 @@ func TestStaleBufferNeverAnswers(t *testing.T) {
 	})
 }
 
-// resetConn is a connection the peer reset: writes fail, while the
-// answers that arrived before the reset can still be read.
-type resetConn struct{ net.Conn }
-
-func (resetConn) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
-
 // TestFailedSendKeepsAnswers: a batch that fails to send detaches its
 // worker but leaves the connection to its reader. A worker that answers
 // pass r and dies inside pass r + 1 resets the connection while later
@@ -316,50 +311,47 @@ func (resetConn) Write([]byte) (int, error) { return 0, errors.New("connection r
 // closing the connection there would drop that answer and land the loss
 // a pass early.
 func TestFailedSendKeepsAnswers(t *testing.T) {
-	co := &coordinator{ctx: context.Background(), pending: map[uint64]chan *Message{}}
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	w, m := newWire(resetConn{a}, nil), newMember("worker-a", state{phase: active})
-	m.attach(w)
+	co := bareCoordinator(Config{})
+	w, m := &fakeLink{fail: true}, &member{name: "worker-a", st: state{phase: active}}
+	co.attach(m, w)
 	f := &flight{req: &StageBatch{Stages: []int{0}, Batches: []int{4}, Round: 2}}
 	(&stageBuffer{co: co, flights: map[*member][]*flight{m: {f}}}).flush(m)
-	select {
-	case <-w.closed():
+	if w.closed {
 		t.Error("a failed send closed the connection under its unread answers")
-	default:
 	}
 	if m.conn != nil || m.st.phase != detached {
 		t.Errorf("a failed send left the worker %v on %p, want it detached", m.st.phase, m.conn)
 	}
-	if f.w != nil || f.ch != nil {
+	if f.w != nil || co.pending[f.id] != nil {
 		t.Error("the batch that failed to send must wait to go again")
 	}
 }
 
-// TestAwaitReturnsAnswerBeforeClose: an answer routed before its
+// TestAwaitReturnsAnswerBeforeClose: an answer read before its
 // connection closed, or before its worker's lease expired, is returned,
 // not lost to the close. With a pass out ahead a worker can answer one
 // pass and die inside the next; losing that answer would land the loss a
-// pass early. Both cases are ready at once, so a select alone would pick
-// the close half of the time.
+// pass early. Here the close or the loss is handled before the batch is
+// collected.
 func TestAwaitReturnsAnswerBeforeClose(t *testing.T) {
 	for _, cut := range []string{"connection", "lease"} {
-		co := &coordinator{ctx: context.Background(), pending: map[uint64]chan *Message{}}
-		a, b := net.Pipe()
-		defer b.Close()
-		w, m := newWire(a, nil), newMember("worker-a", state{})
-		if cut == "connection" {
-			w.close()
-		} else {
-			close(m.lostCh)
-		}
-		for id := uint64(1); id <= 64; id++ {
-			ch := co.register(id)
-			co.route(&Message{Type: MsgStageBatchResult, ID: id, StageBatchResult: &StageBatchResult{Seconds: []float64{float64(id)}}})
-			msg, err := co.await(id, ch, m, w, 0)
-			if err != nil || msg.StageBatchResult.Seconds[0] != float64(id) {
-				t.Fatalf("%s closed: await %d returned %+v, %v; want its answer", cut, id, msg, err)
+		for id := 1; id <= 64; id++ {
+			co := bareCoordinator(Config{})
+			w, m := &fakeLink{}, &member{name: "worker-a", st: state{phase: active}}
+			co.attach(m, w)
+			f := &flight{req: &StageBatch{Stages: []int{0}, Batches: []int{4}, Round: 2}}
+			b := &stageBuffer{co: co, times: map[stageKey][]float64{}, flights: map[*member][]*flight{m: {f}}}
+			b.flush(m)
+			co.handle(netEvent{l: w, msg: &Message{Type: MsgStageBatchResult, ID: f.id,
+				StageBatchResult: &StageBatchResult{Seconds: []float64{float64(id)}}}})
+			if cut == "connection" {
+				co.handle(netEvent{l: w, err: io.EOF})
+			} else {
+				co.markLost(m)
+			}
+			err := b.collect(m, f, 0)
+			if got := b.times[stageKey{0, 4, 2, false}]; err != nil || len(got) != 1 || got[0] != float64(id) {
+				t.Fatalf("%s closed: collect %d buffered %v, %v; want its answer", cut, id, got, err)
 			}
 		}
 	}
@@ -443,8 +435,6 @@ func TestNoOrphanedRequests(t *testing.T) {
 			}
 			cancel()
 			wg.Wait()
-			co.pmu.Lock()
-			defer co.pmu.Unlock()
 			if n := len(co.pending); n != 0 {
 				t.Errorf("%d requests still pending after Serve returned", n)
 			}

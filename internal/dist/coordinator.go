@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/assigner"
@@ -37,7 +35,8 @@ type Config struct {
 	Timer assigner.LayerTimer
 
 	// Heartbeat is the interval workers beacon at (shipped in the
-	// welcome) and the lease sweeper's tick. Default 500ms.
+	// welcome) and the period of the coordinator's lease sweeps. Default
+	// 500ms.
 	Heartbeat time.Duration
 	// Lease is how long a worker may stay silent before it is declared
 	// permanently lost. A detached worker that reattaches within the
@@ -49,14 +48,11 @@ type Config struct {
 	// of microseconds each against the 10s default): a worker still
 	// evaluating at the deadline aborts the whole batch and reports rather
 	// than answering late, and the coordinator gives up on a batch it has
-	// waited on for deadline + Lease. 0 means the default, 10s; a
-	// negative value disables the deadline, and a batch then has a Lease
-	// to answer.
+	// waited on for deadline + Lease. Either failure sends the batch
+	// again, twice at most, before the run fails. 0 means the default,
+	// 10s; a negative value disables the deadline, and a batch then has a
+	// Lease to answer.
 	RoundDeadline time.Duration
-	// DeadlineRetries is how many times the coordinator re-sends one
-	// batch after an abort or an unanswered wait before it fails the run.
-	// Default 2.
-	DeadlineRetries int
 	// JoinTimeout bounds the initial membership barrier. Default 30s.
 	JoinTimeout time.Duration
 
@@ -134,9 +130,6 @@ func (c *Config) withDefaults() Config {
 	} else if out.RoundDeadline == 0 {
 		out.RoundDeadline = 10 * time.Second
 	}
-	if out.DeadlineRetries <= 0 {
-		out.DeadlineRetries = 2
-	}
 	if out.JoinTimeout <= 0 {
 		out.JoinTimeout = 30 * time.Second
 	}
@@ -152,6 +145,10 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
+// deadlineRetries is how many times the coordinator sends one batch
+// again after an abort or an unanswered wait before it fails the run.
+const deadlineRetries = 2
+
 // Result summarizes one coordinated run: the failover.Report the
 // in-process controller would produce for the same transitions, plus the
 // workers behind them.
@@ -163,149 +160,85 @@ type Result struct {
 	HealedWorkers []string
 }
 
-// errMemberLost signals a lease expiry to a waiting stage call.
+// errMemberLost signals a lease expiry to a waiting request.
 var errMemberLost = errors.New("dist: worker lease expired")
 
-// errAwaitTimeout signals a request that outlived its generous wait.
+// errAwaitTimeout signals a wait that outlived its deadline.
 var errAwaitTimeout = errors.New("dist: request timed out")
-
-// errConnClosed signals the request's connection died before the
-// response arrived; the caller resends after the reattach.
-var errConnClosed = errors.New("dist: connection closed mid-request")
 
 // ErrInjectedCoordCrash is returned by Serve when Config.CoordFailAfter
 // fires with a nil Die hook: the in-process stand-in for a SIGKILL.
 var ErrInjectedCoordCrash = errors.New("dist: injected coordinator crash")
 
+// link is the coordinator's end of one worker connection: a *wire, or a
+// fake in the socket-free tests.
+type link interface {
+	send(*Message) error
+	close()
+}
+
+// netEvent is one socket result as a connection's reader posts it: the
+// connection was accepted, a frame was read from it, or the read error
+// that ends it. A connection's events arrive in that order.
+type netEvent struct {
+	l        link
+	accepted bool
+	msg      *Message
+	err      error
+}
+
 // member is one worker: its membership state (membership.go) and the
-// connection and channels the coordinator drives from it.
+// connection it is attached on, held exactly while it is attached.
 type member struct {
 	name string
-
-	mu         sync.Mutex
-	st         state
-	conn       *wire
-	reattached chan struct{} // replaced on detach, closed on attach
-	lostCh     chan struct{} // closed on lease expiry, replaced on rejoin
+	st   state
+	conn link
 }
 
-func newMember(name string, st state) *member {
-	m := &member{name: name, lostCh: make(chan struct{})}
-	m.set(st)
-	return m
-}
+func (m *member) gone() bool { return m.st.phase >= lost }
 
-// set installs the next state; m.mu held. Crossing the lease boundary
-// drops the connection (on a rejoin, one that attached after the verdict)
-// and closes or replaces the lease channel. It reports a taken lease.
-func (m *member) set(next state) bool {
-	was, is := m.st.phase >= lost, next.phase >= lost
-	m.st = next
-	if was != is && m.conn != nil {
-		m.conn.close()
+// unlink detaches m if l is its connection, leaving l open: after a
+// failed write, l's reader still delivers the answers that arrived
+// before the failure, then reads the failure itself.
+func (m *member) unlink(l link) {
+	if m.conn == l {
 		m.conn = nil
-	}
-	switch {
-	case was && !is:
-		m.lostCh = make(chan struct{}) // never re-close a closed channel
-	case is && !was:
-		close(m.lostCh)
-	}
-	return is && !was
-}
-
-// apply steps the member through a non-hello event under its lock and
-// reports whether the step took the lease.
-func (m *member) apply(ev event, cfg *Config) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next, _ := step(m.st, ev, cfg)
-	return m.set(next)
-}
-
-// markLost delivers the lease verdict; false when already lost.
-func (m *member) markLost() bool { return m.apply(event{kind: evExpire}, nil) }
-
-func (m *member) attach(w *wire) {
-	m.mu.Lock()
-	old := m.conn
-	m.conn = w
-	m.st, _ = step(m.st, event{kind: evConnUp, now: time.Now()}, nil)
-	if m.reattached != nil {
-		close(m.reattached)
-		m.reattached = nil
-	}
-	m.mu.Unlock()
-	if old != nil && old != w {
-		old.close()
-	}
-}
-
-// detachIf drops the connection only if w is still current — a stale
-// reader racing a reattach must not clobber the fresh connection.
-func (m *member) detachIf(w *wire) {
-	m.unlink(w)
-	w.close()
-}
-
-// unlink is detachIf leaving w open, for a failed write: w's reader still
-// delivers the answers that arrived before the failure, then sees it
-// itself and closes w.
-func (m *member) unlink(w *wire) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.conn == w {
-		m.conn = nil
-		m.reattached = make(chan struct{})
 		m.st, _ = step(m.st, event{kind: evConnDown}, nil)
 	}
 }
 
-// awaitConn returns the member's live connection, waiting through a
-// detach window; it fails with errMemberLost once the lease expires.
-func (m *member) awaitConn(ctx context.Context) (*wire, error) {
-	for {
-		m.mu.Lock()
-		if m.st.phase >= lost {
-			m.mu.Unlock()
-			return nil, errMemberLost
-		}
-		if m.conn != nil {
-			w := m.conn
-			m.mu.Unlock()
-			return w, nil
-		}
-		re := m.reattached
-		m.mu.Unlock()
-		select {
-		case <-re:
-		case <-m.lostCh:
-			return nil, errMemberLost
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
+// coordinator is owned by the goroutine that calls Serve. It runs the
+// engine, and whenever it waits it pumps the events the connection
+// readers post (wait); no other goroutine reads or writes these fields.
 type coordinator struct {
 	cfg    Config
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu      sync.Mutex
+	events chan netEvent
+	tick   <-chan time.Time // drives the lease sweeps; nil never ticks
+	// now is the instant the owner stamped on the event it is handling.
+	now time.Time
+
 	members map[string]*member
 	owners  []*member // stage index → serving member
-	// tokens is the mint counter, live rather than folded: a mint is
-	// journaled only after its welcome is sent, so concurrent admits can
-	// append out of ordinal order. Recovery seeds it from the fold's MaxOrd.
+	// tokens is the mint counter, live rather than folded: a mint whose
+	// welcome never went out is not journaled. Recovery seeds it from the
+	// fold's MaxOrd.
 	tokens int
+	// joined is set once the join barrier closes; leases run from there.
+	joined bool
 
-	joinOnce sync.Once
-	joined   chan struct{}
+	// conns maps every open connection the coordinator tracks to its
+	// member, nil until its hello is admitted. dead is set once the
+	// coordinator stops admitting: at an injected crash, and when Serve
+	// returns.
+	conns map[link]*member
+	dead  bool
 
-	pmu     sync.Mutex
-	pending map[uint64]chan *Message
-	idSeq   atomic.Uint64
+	// pending holds every request out on an open connection, by id.
+	pending map[uint64]*flight
+	seq     uint64
 
 	// jnl holds the durable state: the current epoch, its payload and
 	// resume point, and the Result are read only from its fold.
@@ -313,24 +246,17 @@ type coordinator struct {
 	tap func(durable)
 
 	// calls counts answered engine stage calls (CoordFailAfter seam).
-	calls atomic.Int64
+	calls int
 	// healArmed is set while the degraded epoch runs under Config.Rejoin:
 	// the first stage call that finds a dwell-stable rejoined worker
-	// swaps it false and halts the engine for the restore replan (one
-	// restore per run, mirroring the at-most-one-loss invariant).
-	healArmed atomic.Bool
+	// clears it and halts the engine for the restore replan (one restore
+	// per run, mirroring the at-most-one-loss invariant).
+	healArmed bool
 
 	// Deterministic counters (sim registry).
 	stageCalls *obs.Counter
 	// stageWait times each collect the engine blocks in (ctrl registry).
 	stageWait *obs.Histogram
-
-	// cmu guards conns — every connection handleConn admitted and has not
-	// yet released — and dead, set once the coordinator stops admitting:
-	// at an injected crash, and when Serve returns.
-	cmu   sync.Mutex
-	conns map[*wire]struct{}
-	dead  bool
 }
 
 // Serve runs one offline workload on the distributed control plane:
@@ -371,10 +297,12 @@ func (co *coordinator) serve(ctx context.Context, cfg Config) (*Result, error) {
 
 	co.cfg = cfg
 	co.members = make(map[string]*member)
-	co.joined = make(chan struct{})
-	co.pending = make(map[uint64]chan *Message)
+	co.conns = make(map[link]*member)
+	co.pending = make(map[uint64]*flight)
+	co.events = make(chan netEvent)
 	co.stageCalls = cfg.Obs.Counter("llmpq_dist_stage_calls_total")
 	co.stageWait = cfg.CtrlObs.Histogram("llmpq_dist_stage_wait_seconds", obs.TimeBuckets())
+	co.stamp()
 	if err := co.openJournal(); err != nil {
 		return nil, err
 	}
@@ -382,8 +310,10 @@ func (co *coordinator) serve(ctx context.Context, cfg Config) (*Result, error) {
 	co.ctx, co.cancel = context.WithCancel(ctx)
 	defer co.cancel()
 	defer co.closeConns()
+	tick := time.NewTicker(cfg.Heartbeat)
+	defer tick.Stop()
+	co.tick = tick.C
 	go co.acceptLoop()
-	go co.sweeper()
 
 	if err := co.awaitMembership(); err != nil {
 		return nil, err
@@ -501,13 +431,12 @@ func (co *coordinator) seedMembers(st *durable) error {
 	if len(st.Members) > co.cfg.Workers {
 		return fmt.Errorf("dist: recover: journal holds %d members, config allows %d", len(st.Members), co.cfg.Workers)
 	}
-	now := time.Now()
 	for _, mr := range st.Members {
-		s := state{phase: detached, token: mr.Token, ord: mr.Ord, lastHeard: now}
+		s := state{phase: detached, token: mr.Token, ord: mr.Ord, lastHeard: co.now}
 		if slices.Contains(st.Lost, mr.Name) {
 			s.phase = lost
 		}
-		co.members[mr.Name] = newMember(mr.Name, s)
+		co.members[mr.Name] = &member{name: mr.Name, st: s}
 	}
 	co.tokens = st.MaxOrd
 	return nil
@@ -519,28 +448,23 @@ func (co *coordinator) seedMembers(st *durable) error {
 // delivered at the barrier) and the run proceeds on the ones that came
 // back — the failover path heals the difference.
 func (co *coordinator) awaitMembership() error {
-	joinTimer := time.NewTimer(co.cfg.JoinTimeout)
-	defer joinTimer.Stop()
-	select {
-	case <-co.joined:
-		return nil
-	case <-joinTimer.C:
-		if co.cfg.Recover && len(co.membersWhere(state.attached)) >= 1 {
-			for _, m := range co.membersWhere(state.absent) {
-				if m.markLost() {
-					co.ctrlInc("llmpq_dist_lease_expiries_total")
-					co.cfg.Logf("worker %s did not reattach within %s; declared lost", m.name, co.cfg.JoinTimeout)
-				}
-			}
-			// Open the barrier so the sweeper starts enforcing leases.
-			co.joinOnce.Do(func() { close(co.joined) })
-			return nil
-		}
-		return fmt.Errorf("dist: only %d of %d workers joined within %s",
-			len(co.membersWhere(state.attached)), co.cfg.Workers, co.cfg.JoinTimeout)
-	case <-co.ctx.Done():
-		return co.ctx.Err()
+	err := co.wait(co.cfg.JoinTimeout, func() bool { return co.joined })
+	if !errors.Is(err, errAwaitTimeout) {
+		return err
 	}
+	if co.cfg.Recover && len(co.membersWhere(state.attached)) >= 1 {
+		for _, m := range co.membersWhere(state.absent) {
+			if co.markLost(m) {
+				co.ctrlInc("llmpq_dist_lease_expiries_total")
+				co.cfg.Logf("worker %s did not reattach within %s; declared lost", m.name, co.cfg.JoinTimeout)
+			}
+		}
+		// Open the barrier so the sweeps start enforcing leases.
+		co.joined = true
+		return nil
+	}
+	return fmt.Errorf("dist: only %d of %d workers joined within %s",
+		len(co.membersWhere(state.attached)), co.cfg.Workers, co.cfg.JoinTimeout)
 }
 
 // leg is what the epoch loop carries between engine runs: the Result, the
@@ -598,19 +522,17 @@ func (co *coordinator) run() (*Result, error) {
 		// epochs on other devices, so a time fetched under one plan must
 		// never answer a call under the next. The batches it still has
 		// out when the run ends are dropped with it.
-		co.mu.Lock()
 		buf := &stageBuffer{co: co, plan: plan, owners: co.owners, batch: spec.Work.GlobalBatch, last: spec.Work.Generate - 1,
 			times: map[stageKey][]float64{}, flights: map[*member][]*flight{}}
-		co.mu.Unlock()
 		eng.StageTimer = buf.stageTime
 		eng.OnRoundCommit = co.onRoundCommit
 		eng.Obs, eng.Spans = cfg.Obs, cfg.Spans
-		co.healArmed.Store(armed)
+		co.healArmed = armed
 		stats, err := eng.Run()
-		co.healArmed.Store(false)
+		co.healArmed = false
 		for _, fs := range buf.flights {
 			for _, f := range fs {
-				co.unregister(f.id)
+				delete(co.pending, f.id)
 			}
 		}
 		var lost *rt.DeviceLostError
@@ -650,7 +572,6 @@ func (co *coordinator) shrink(lost *rt.DeviceLostError) (leg, error) {
 	cfg := co.cfg
 	drop := []int{lost.Device}
 	var name string
-	co.mu.Lock()
 	if lost.Stage < len(co.owners) {
 		dead := co.owners[lost.Stage]
 		name = dead.name
@@ -660,7 +581,6 @@ func (co *coordinator) shrink(lost *rt.DeviceLostError) (leg, error) {
 			}
 		}
 	}
-	co.mu.Unlock()
 	cfg.Logf("worker %s lost (stage %d, devices %v) at %.3fs; replanning on survivors",
 		name, lost.Stage, drop, lost.AtSec)
 	out, err := failover.Transition(cfg.Spec, cfg.Plan, cfg.Timer, nil, failover.Members(cfg.Spec.Cluster, drop...), lost, cfg.Obs, cfg.CtrlObs, cfg.Spans)
@@ -719,7 +639,7 @@ func (co *coordinator) adopt(out *failover.Outcome, workers []string, healed []*
 		if err := co.reconfigure(m, pr.Payload); err != nil {
 			return leg{}, fmt.Errorf("dist: reconfigure %s: %w", m.name, err)
 		}
-		m.apply(event{kind: evPromote}, nil) // a no-op for the others
+		co.apply(m, event{kind: evPromote}) // a no-op for the others
 	}
 	co.assignStages(out.Plan, serving)
 	co.setWorkersGauge(len(serving))
@@ -753,39 +673,15 @@ func (co *coordinator) crash() {
 	co.cancel()
 }
 
-// track registers a connection handleConn is admitting; false means the
-// coordinator is dead and the connection must be dropped.
-func (co *coordinator) track(w *wire) bool {
-	co.cmu.Lock()
-	defer co.cmu.Unlock()
-	if co.dead {
-		return false
-	}
-	if co.conns == nil {
-		co.conns = make(map[*wire]struct{})
-	}
-	co.conns[w] = struct{}{}
-	return true
-}
-
-func (co *coordinator) untrack(w *wire) {
-	co.cmu.Lock()
-	delete(co.conns, w)
-	co.cmu.Unlock()
-}
-
 // closeConns refuses further admission and closes every tracked
 // connection: a worker must never keep heartbeating a coordinator that
 // is gone.
 func (co *coordinator) closeConns() {
-	co.cmu.Lock()
 	co.dead = true
-	conns := co.conns
-	co.conns = nil
-	co.cmu.Unlock()
-	for w := range conns {
-		w.close()
+	for l := range co.conns {
+		l.close()
 	}
+	clear(co.conns)
 }
 
 // stageKey names one task; its stage time is a pure function of these
@@ -824,14 +720,15 @@ type stageBuffer struct {
 	flights map[*member][]*flight
 }
 
-// flight is one stage batch out to its owner under a pending id. w, the
-// connection it went out on, and ch are nil until it goes out, and again
-// once collect knows it must go again.
+// flight is one request out to a worker under a pending id: a stage
+// batch, or a reconfigure (req nil). w, the connection it went out on,
+// is nil until it goes out, and again once it must go again; ans is the
+// answer read for it.
 type flight struct {
 	req *StageBatch
 	id  uint64
-	ch  chan *Message
-	w   *wire
+	w   link
+	ans *Message
 }
 
 // stageTime is the Engine.StageTimer callback: answer one task from the
@@ -842,11 +739,15 @@ type flight struct {
 // StageRestoreError so the restore replan can bring it back.
 func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64, error) {
 	co := b.co
-	if co.healArmed.Load() && len(co.healedMembers()) > 0 && co.healArmed.CompareAndSwap(true, false) {
+	if co.healArmed && len(co.healedMembers()) > 0 {
+		co.healArmed = false
 		return 0, &rt.StageRestoreError{}
 	}
 	k := stageKey{stage, batch, round, prefill}
 	if len(b.times[k]) == 0 {
+		// A miss is the engine's event: the batches it sends are stamped
+		// with its instant.
+		co.stamp()
 		pass := round
 		if prefill {
 			pass = 0
@@ -869,9 +770,11 @@ func (b *stageBuffer) stageTime(stage, batch, round int, prefill bool) (float64,
 	// Injected-crash seam: dying on the Nth answered call is deterministic
 	// (the engine issues stage calls in virtual-time order), so recovery
 	// tests can crash at a reproducible point.
-	if n := co.cfg.CoordFailAfter; n > 0 && co.calls.Add(1) == int64(n) {
-		co.crash()
-		return 0, ErrInjectedCoordCrash
+	if n := co.cfg.CoordFailAfter; n > 0 {
+		if co.calls++; co.calls == n {
+			co.crash()
+			return 0, ErrInjectedCoordCrash
+		}
 	}
 	return sec, nil
 }
@@ -905,81 +808,81 @@ func (b *stageBuffer) send(q int) {
 // connection open to its reader: a worker that died mid-batch may have
 // answers to earlier passes waiting unread there.
 func (b *stageBuffer) flush(m *member) {
-	co := b.co
-	m.mu.Lock()
-	w := m.conn
-	m.mu.Unlock()
+	co, w := b.co, m.conn
+	if w == nil {
+		return
+	}
 	for _, f := range b.flights[m] {
-		if w == nil || f.w == w || len(f.ch) > 0 {
+		if f.w == w || f.ans != nil {
 			continue
 		}
-		co.unregister(f.id) // the id it went out under on a dead connection
-		f.id = co.idSeq.Add(1)
-		f.ch = co.register(f.id)
+		delete(co.pending, f.id) // the id it went out under on an earlier connection
+		co.seq++
+		f.id = co.seq
 		if co.cfg.RoundDeadline > 0 {
-			f.req.DeadlineUnixNano = time.Now().Add(co.cfg.RoundDeadline).UnixNano()
+			f.req.DeadlineUnixNano = co.now.Add(co.cfg.RoundDeadline).UnixNano()
 		}
 		if err := w.send(&Message{Type: MsgStageBatch, ID: f.id, StageBatch: f.req}); err != nil {
-			co.unregister(f.id)
-			f.w, f.ch = nil, nil
+			f.w = nil
 			m.unlink(w)
 			co.ctrlInc("llmpq_dist_stage_resends_total")
 			return
 		}
 		f.w = w
+		co.pending[f.id] = f
 	}
 }
 
 // collect waits for f, m's batch, and buffers its answers. It survives
 // detach windows (the batch goes again after the reattach) and deadline
-// aborts (again up to DeadlineRetries times), and turns a lease expiry
-// into a StageLostError for stage, the engine's call.
+// aborts (again up to deadlineRetries times), and turns a lease expiry
+// into a StageLostError for stage, the engine's call. An answer read
+// before its connection closed or its lease expired is still used.
 func (b *stageBuffer) collect(m *member, f *flight, stage int) error {
 	co := b.co
-	if co.stageWait != nil {
-		defer func(start time.Time) { co.stageWait.Observe(time.Since(start).Seconds()) }(time.Now())
-	}
+	start := co.now
+	defer func() { co.stageWait.Observe(co.now.Sub(start).Seconds()) }()
 	aborts := 0
 	for {
 		if f.w == nil {
-			_, err := m.awaitConn(co.ctx)
-			if errors.Is(err, errMemberLost) {
+			_, err := co.linkOf(m)
+			switch {
+			case errors.Is(err, errMemberLost):
 				return &rt.StageLostError{Stage: stage}
-			}
-			if err != nil {
+			case err != nil:
 				return err
 			}
 			if b.flush(m); f.w == nil {
 				continue
 			}
 		}
-		// The response must arrive within deadline + lease: either the
-		// worker answers (possibly with an abort), the connection dies
-		// (resend after reattach), or the lease expires.
-		msg, err := co.await(f.id, f.ch, m, f.w, co.cfg.RoundDeadline+co.cfg.Lease)
+		// The answer must arrive within deadline + lease: either the worker
+		// answers (possibly with an abort), the connection dies (send again
+		// after the reattach), or the lease expires.
+		err := co.await(f, m)
 		switch {
-		case errors.Is(err, errMemberLost):
-			return &rt.StageLostError{Stage: stage}
-		case errors.Is(err, errConnClosed):
-			f.w, f.ch = nil, nil
-			co.ctrlInc("llmpq_dist_stage_resends_total")
-			continue
+		case f.ans != nil:
 		case errors.Is(err, errAwaitTimeout):
-			// Conn is up but the worker went mute; force a reconnect and
-			// charge a deadline strike.
-			m.detachIf(f.w)
+			// The connection is up but the worker went mute: force a
+			// reconnect and charge a deadline strike.
+			co.drop(f.w)
 		case err != nil:
 			return err
+		case m.gone():
+			return &rt.StageLostError{Stage: stage}
+		default:
+			co.ctrlInc("llmpq_dist_stage_resends_total")
+			continue
 		}
-		if err != nil || msg.StageBatchResult.Aborted {
-			f.w, f.ch = nil, nil
+		if f.ans == nil || f.ans.StageBatchResult.Aborted {
+			f.w, f.ans = nil, nil
 			co.ctrlInc("llmpq_dist_deadline_aborts_total")
-			if aborts++; aborts > co.cfg.DeadlineRetries {
+			if aborts++; aborts > deadlineRetries {
 				return fmt.Errorf("dist: stage %d batch exceeded its %s deadline %d times", stage, co.cfg.RoundDeadline, aborts)
 			}
 			continue
 		}
-		req, res := f.req, msg.StageBatchResult
+		req, res := f.req, f.ans.StageBatchResult
 		if res.Err != "" || len(res.Seconds) != req.tasks() {
 			return fmt.Errorf("dist: worker %s stage %d: %d of %d times (%s)", m.name, stage, len(res.Seconds), req.tasks(), res.Err)
 		}
@@ -992,89 +895,96 @@ func (b *stageBuffer) collect(m *member, f *flight, stage int) error {
 	}
 }
 
-// await blocks until the pending request id resolves, the request's
-// connection dies, the member is lost, the wait elapses, or the
-// coordinator stops. An answer that arrived first is returned even when
-// the other case is ready too.
-func (co *coordinator) await(id uint64, ch chan *Message, m *member, w *wire, wait time.Duration) (*Message, error) {
-	var tC <-chan time.Time
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		tC = t.C
-	}
-	var err error
-	select {
-	case msg := <-ch:
-		return msg, nil
-	case <-w.closed():
-		err = errConnClosed
-	case <-m.lostCh:
-		err = errMemberLost
-	case <-tC:
-		err = errAwaitTimeout
-	case <-co.ctx.Done():
-		err = co.ctx.Err()
-	}
-	select {
-	case msg := <-ch:
-		return msg, nil
-	default:
-		co.unregister(id)
-		return nil, err
-	}
-}
-
 // reconfigure ships a new plan payload to one member and waits for the
-// acknowledgement, resending across transient disconnects.
+// acknowledgement, sending it again across transient disconnects.
 func (co *coordinator) reconfigure(m *member, payload *PlanPayload) error {
 	for {
-		w, err := m.awaitConn(co.ctx)
+		w, err := co.linkOf(m)
 		if err != nil {
 			return err
 		}
-		id := co.idSeq.Add(1)
-		ch := co.register(id)
-		if err := w.send(&Message{Type: MsgReconfigure, ID: id, Reconfigure: payload}); err != nil {
-			co.unregister(id)
-			m.detachIf(w)
+		co.seq++
+		f := &flight{id: co.seq, w: w}
+		if err := w.send(&Message{Type: MsgReconfigure, ID: f.id, Reconfigure: payload}); err != nil {
+			co.drop(w)
 			continue
 		}
-		_, err = co.await(id, ch, m, w, co.cfg.RoundDeadline+co.cfg.Lease)
-		if errors.Is(err, errConnClosed) {
-			continue
+		co.pending[f.id] = f
+		err = co.await(f, m)
+		delete(co.pending, f.id)
+		switch {
+		case f.ans != nil:
+			return nil
+		case err != nil:
+			return err
+		case m.gone():
+			return errMemberLost
 		}
-		return err
 	}
 }
 
-func (co *coordinator) register(id uint64) chan *Message {
-	ch := make(chan *Message, 1)
-	co.pmu.Lock()
-	co.pending[id] = ch
-	co.pmu.Unlock()
-	return ch
-}
-
-func (co *coordinator) unregister(id uint64) {
-	co.pmu.Lock()
-	delete(co.pending, id)
-	co.pmu.Unlock()
-}
-
-// route delivers a response frame to its waiting request; late
-// responses to abandoned ids are dropped.
-func (co *coordinator) route(msg *Message) {
-	co.pmu.Lock()
-	ch := co.pending[msg.ID]
-	delete(co.pending, msg.ID)
-	co.pmu.Unlock()
-	if ch != nil {
-		ch <- msg
+// linkOf returns m's connection, waiting through a detach window; it
+// fails with errMemberLost once the lease expires.
+func (co *coordinator) linkOf(m *member) (link, error) {
+	if err := co.wait(0, func() bool { return m.conn != nil || m.gone() }); err != nil {
+		return nil, err
 	}
+	if m.gone() {
+		return nil, errMemberLost
+	}
+	return m.conn, nil
 }
 
-// acceptLoop admits connections until the coordinator stops.
+// await waits until f is answered, its connection closes or m is lost,
+// for at most deadline + lease.
+func (co *coordinator) await(f *flight, m *member) error {
+	return co.wait(co.cfg.RoundDeadline+co.cfg.Lease, func() bool { return f.ans != nil || f.w == nil || m.gone() })
+}
+
+// stamp sets now for the event the owner is about to handle.
+func (co *coordinator) stamp() { co.now = time.Now() }
+
+// wait is the event pump, the only place the owner waits for events: it
+// handles them until done holds, failing with errAwaitTimeout once d elapses
+// (d ≤ 0 never does) or with the context's error once the run stops.
+// Frames win over the sweep ticker and the deadline when both are ready,
+// so a sweep after a stretch without pumping first sees the frames the
+// readers hold.
+func (co *coordinator) wait(d time.Duration, done func() bool) error {
+	if done() {
+		return nil
+	}
+	var expired <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	}
+	for !done() {
+		var ev netEvent
+		select {
+		case ev = <-co.events:
+		default:
+			select {
+			case ev = <-co.events:
+			case <-co.tick:
+				co.stamp()
+				co.sweep()
+				continue
+			case <-expired:
+				return errAwaitTimeout
+			case <-co.ctx.Done():
+				return co.ctx.Err()
+			}
+		}
+		co.stamp()
+		co.handle(ev)
+	}
+	return nil
+}
+
+// acceptLoop accepts connections until the coordinator stops, and starts
+// a reader on each.
 func (co *coordinator) acceptLoop() {
 	for {
 		c, err := co.cfg.Listener.Accept()
@@ -1091,38 +1001,94 @@ func (co *coordinator) acceptLoop() {
 			}
 			continue
 		}
-		go co.handleConn(c)
+		go co.read(newWire(c, co.cfg.CtrlObs))
 	}
 }
 
-// handleConn runs the handshake and then the per-connection read loop.
-func (co *coordinator) handleConn(c net.Conn) {
-	w := newWire(c, co.cfg.CtrlObs)
-	if !co.track(w) {
-		w.close()
+// read is one connection's reader: it posts the accept, each frame, and
+// the read error that ends the connection. The hello must arrive within
+// a lease.
+func (co *coordinator) read(w *wire) {
+	if !co.post(netEvent{l: w, accepted: true}) {
 		return
 	}
-	defer co.untrack(w)
-	_ = c.SetReadDeadline(time.Now().Add(co.cfg.Lease)) //llmpq:allow(errdrop): a failed deadline surfaces as the recv error on the next line
+	_ = w.c.SetReadDeadline(time.Now().Add(co.cfg.Lease)) //llmpq:allow(errdrop): a failed deadline surfaces as the recv error on the next line
 	msg, err := w.recv()
-	_ = c.SetReadDeadline(time.Time{}) //llmpq:allow(errdrop): clearing a deadline on a dying conn can only fail harmlessly
-	if err != nil || msg.Type != MsgHello {
-		w.close()
+	_ = w.c.SetReadDeadline(time.Time{}) //llmpq:allow(errdrop): clearing a deadline on a dying conn can only fail harmlessly
+	for co.post(netEvent{l: w, msg: msg, err: err}) && err == nil {
+		msg, err = w.recv()
+	}
+}
+
+// post hands ev to the owner, or closes its connection once the run has
+// stopped.
+func (co *coordinator) post(ev netEvent) bool {
+	select {
+	case co.events <- ev:
+		return true
+	case <-co.ctx.Done():
+		ev.l.close()
+		return false
+	}
+}
+
+// handle applies one socket event.
+func (co *coordinator) handle(ev netEvent) {
+	if ev.accepted {
+		if co.dead {
+			ev.l.close()
+		} else {
+			co.conns[ev.l] = nil
+		}
+		return
+	}
+	m, open := co.conns[ev.l]
+	switch {
+	case !open:
+		// The coordinator dropped the connection; its reader is behind.
+	case ev.err != nil:
+		co.drop(ev.l)
+		if m != nil {
+			co.cfg.Logf("worker %s detached: %v", m.name, ev.err)
+		}
+	case m == nil:
+		co.hello(ev.l, ev.msg)
+	default:
+		// Any frame after the welcome renews the lease and proves the
+		// worker got past the handshake: from here the token is the only key.
+		co.apply(m, event{kind: evFrame, now: co.now})
+		switch msg := ev.msg; msg.Type {
+		case MsgHeartbeat:
+			co.ctrlInc("llmpq_dist_heartbeats_received_total")
+		case MsgStageBatchResult, MsgReconfigureOK:
+			// An answer to an abandoned request is dropped.
+			if f := co.pending[msg.ID]; f != nil {
+				delete(co.pending, msg.ID)
+				f.ans = msg
+			}
+		case MsgBye:
+			co.drop(ev.l)
+		default:
+			// Unknown frames renew the lease and are otherwise ignored —
+			// forward compatibility within a protocol version.
+		}
+	}
+}
+
+// hello runs the handshake on a connection's first frame.
+func (co *coordinator) hello(l link, msg *Message) {
+	if msg.Type != MsgHello {
+		co.drop(l)
 		return
 	}
 	h := msg.Hello
 	if h.Version != ProtocolVersion {
-		//llmpq:allow(errdrop): best-effort courtesy reject; the connection closes either way
-		_ = w.send(&Message{Type: MsgReject, Reject: &Reject{
-			Reason: fmt.Sprintf("protocol version %d, coordinator speaks %d", h.Version, ProtocolVersion)}})
-		w.close()
+		co.reject(l, &Reject{Reason: fmt.Sprintf("protocol version %d, coordinator speaks %d", h.Version, ProtocolVersion)})
 		return
 	}
-	m, rec, reject, retryable := co.admit(h)
-	if reject != "" {
-		//llmpq:allow(errdrop): best-effort courtesy reject; the connection closes either way
-		_ = w.send(&Message{Type: MsgReject, Reject: &Reject{Reason: reject, Retryable: retryable}})
-		w.close()
+	m, rec, reason, retryable := co.admit(h)
+	if reason != "" {
+		co.reject(l, &Reject{Reason: reason, Retryable: retryable})
 		return
 	}
 	token := h.Token // admitted by its own token unless one was minted
@@ -1135,14 +1101,14 @@ func (co *coordinator) handleConn(c net.Conn) {
 		LeaseSec:     co.cfg.Lease.Seconds(),
 		Plan:         co.jnl.state().current().Payload,
 	}
-	if err := w.send(&Message{Type: MsgWelcome, Welcome: welcome}); err != nil {
-		w.close()
+	if err := l.send(&Message{Type: MsgWelcome, Welcome: welcome}); err != nil {
+		co.drop(l)
 		return
 	}
 	// Attach only once the welcome went out: an attached connection is
 	// open to stage calls, and a request that overtook the welcome would
 	// fail the worker's handshake and cost it a reconnect.
-	m.attach(w)
+	co.attach(m, l)
 	// Journal the mint only after the welcome went out: recovery must
 	// never hold a worker to a token it was never offered.
 	if rec != nil {
@@ -1153,53 +1119,32 @@ func (co *coordinator) handleConn(c net.Conn) {
 	}
 	co.maybeJoined()
 	co.cfg.Logf("worker %s attached", m.name)
+}
 
-	for {
-		msg, err := w.recv()
-		if err != nil {
-			m.detachIf(w)
-			co.cfg.Logf("worker %s detached: %v", m.name, err)
-			return
-		}
-		// Any frame after the welcome renews the lease and proves the worker
-		// got past the handshake: from here the token is the only key.
-		m.apply(event{kind: evFrame, now: time.Now()}, nil)
-		switch msg.Type {
-		case MsgHeartbeat:
-			co.ctrlInc("llmpq_dist_heartbeats_received_total")
-		case MsgStageBatchResult, MsgReconfigureOK:
-			co.route(msg)
-		case MsgBye:
-			m.detachIf(w)
-			return
-		default:
-			// Unknown frames renew the lease and are otherwise ignored —
-			// forward compatibility within a protocol version.
-		}
-	}
+// reject turns a hello away with a best-effort courtesy frame.
+func (co *coordinator) reject(l link, r *Reject) {
+	//llmpq:allow(errdrop): best-effort courtesy reject; the connection closes either way
+	_ = l.send(&Message{Type: MsgReject, Reject: r})
+	co.drop(l)
 }
 
 // admit applies step's verdict on a hello: the member plus, when a token
 // was minted, the MemberRecord to journal once the welcome is delivered;
 // or a rejection and whether it is retryable.
 func (co *coordinator) admit(h *Hello) (*member, *MemberRecord, string, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
 	m := co.members[h.Name]
 	if m == nil {
-		m = newMember(h.Name, state{})
+		m = &member{name: h.Name}
 	}
-	m.mu.Lock()
 	prev := m.st
-	next, v := step(prev, event{kind: evHello, now: time.Now(), hello: h, full: len(co.members) >= co.cfg.Workers}, &co.cfg)
+	next, v := step(prev, event{kind: evHello, now: co.now, hello: h, full: len(co.members) >= co.cfg.Workers}, &co.cfg)
 	var rec *MemberRecord
 	if v.mint {
 		co.tokens++
 		next.token, next.ord = fmt.Sprintf("lease-%d-%s", co.tokens, h.Name), co.tokens
 		rec = &MemberRecord{Name: h.Name, Token: next.token, Ord: next.ord}
 	}
-	m.set(next)
-	m.mu.Unlock()
+	co.set(m, next)
 	switch {
 	case next.phase == quarantined && prev.phase != quarantined:
 		co.ctrlInc("llmpq_heal_flap_quarantines_total")
@@ -1216,62 +1161,90 @@ func (co *coordinator) admit(h *Hello) (*member, *MemberRecord, string, bool) {
 	return m, rec, "", false
 }
 
+// attach makes l m's connection, dropping the one it replaces.
+func (co *coordinator) attach(m *member, l link) {
+	old := m.conn
+	m.conn = l
+	co.conns[l] = m
+	m.st, _ = step(m.st, event{kind: evConnUp, now: co.now}, nil)
+	if old != nil && old != l {
+		co.drop(old)
+	}
+}
+
+// drop closes l and forgets it: its member detaches if l is its
+// connection, and every request out on l must go again.
+func (co *coordinator) drop(l link) {
+	l.close()
+	if m := co.conns[l]; m != nil {
+		m.unlink(l)
+	}
+	delete(co.conns, l)
+	for id, f := range co.pending {
+		if f.w == l {
+			delete(co.pending, id)
+			f.w = nil
+		}
+	}
+}
+
+// apply steps m through a non-hello event and reports whether the step
+// took the lease.
+func (co *coordinator) apply(m *member, ev event) bool {
+	next, _ := step(m.st, ev, &co.cfg)
+	return co.set(m, next)
+}
+
+// set installs m's next state. Taking the lease drops m's connection; it
+// reports a taken lease.
+func (co *coordinator) set(m *member, next state) bool {
+	took := next.phase >= lost && !m.gone()
+	m.st = next
+	if took && m.conn != nil {
+		co.drop(m.conn)
+	}
+	return took
+}
+
+// markLost delivers the lease verdict; false when already lost.
+func (co *coordinator) markLost(m *member) bool { return co.apply(m, event{kind: evExpire}) }
+
 // maybeJoined closes the join barrier once the membership is complete
 // and every not-lost member holds a live connection. Recovery seeds the
 // membership from the journal, so completeness there means "everyone the
 // journal knows", not the configured worker count.
 func (co *coordinator) maybeJoined() {
-	co.mu.Lock()
 	short := !co.cfg.Recover && len(co.members) < co.cfg.Workers
-	co.mu.Unlock()
-	if short || len(co.membersWhere(state.absent)) > 0 {
-		return
+	if !short && len(co.membersWhere(state.absent)) == 0 {
+		co.joined = true
 	}
-	co.joinOnce.Do(func() { close(co.joined) })
 }
 
-// membersWhere snapshots the membership and returns, sorted by name, the
-// members whose state keep accepts.
+// membersWhere returns, sorted by name, the members whose state keep
+// accepts.
 func (co *coordinator) membersWhere(keep func(s state) bool) []*member {
-	co.mu.Lock()
 	var out []*member
 	for _, m := range co.members {
-		m.mu.Lock()
 		if keep(m.st) {
 			out = append(out, m)
 		}
-		m.mu.Unlock()
 	}
-	co.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
-// sweeper expires leases: any member silent past the lease is declared
-// permanently lost, which unblocks waiting stage calls with
-// StageLostError and drives the failover path.
-func (co *coordinator) sweeper() {
-	tick := time.NewTicker(co.cfg.Heartbeat)
-	defer tick.Stop()
-	for {
-		select {
-		case <-co.ctx.Done():
-			return
-		case <-tick.C:
-		}
-		// Leases start at the join barrier: a recovered membership must
-		// get its full reattach window before the sweeper may expire it.
-		select {
-		case <-co.joined:
-		default:
-			continue
-		}
-		now := time.Now()
-		for _, m := range co.membersWhere(state.live) {
-			if m.apply(event{kind: evLease, now: now}, &co.cfg) {
-				co.ctrlInc("llmpq_dist_lease_expiries_total")
-				co.cfg.Logf("worker %s lease expired (silent > %s)", m.name, co.cfg.Lease)
-			}
+// sweep expires leases: any member silent past the lease is declared
+// permanently lost, which fails its waiting stage call with a
+// StageLostError and drives the failover path. Leases start at the join
+// barrier: a recovered membership gets its full reattach window first.
+func (co *coordinator) sweep() {
+	if !co.joined {
+		return
+	}
+	for _, m := range co.membersWhere(state.live) {
+		if co.apply(m, event{kind: evLease, now: co.now}) {
+			co.ctrlInc("llmpq_dist_lease_expiries_total")
+			co.cfg.Logf("worker %s lease expired (silent > %s)", m.name, co.cfg.Lease)
 		}
 	}
 }
@@ -1280,62 +1253,48 @@ func (co *coordinator) sweeper() {
 // name order — a pure function of (plan, membership), so every
 // coordinator restart with the same workers reproduces it.
 func (co *coordinator) assignStages(p *assigner.Plan, members []*member) {
-	owners := make([]*member, p.NumStages())
-	for j := range owners {
-		owners[j] = members[j%len(members)]
+	co.owners = make([]*member, p.NumStages())
+	for j := range co.owners {
+		co.owners[j] = members[j%len(members)]
 	}
-	co.mu.Lock()
-	co.owners = owners
-	co.mu.Unlock()
 }
 
 // healedMembers returns the rejoined members whose lease held for the dwell.
 func (co *coordinator) healedMembers() []*member {
-	now := time.Now()
-	return co.membersWhere(func(s state) bool { return s.healed(now, co.cfg.HealDwell) })
+	return co.membersWhere(func(s state) bool { return s.healed(co.now, co.cfg.HealDwell) })
 }
 
-// shutdown says goodbye to every serving worker, gives them up to a
-// lease, all told, to hang up, and stops the loops; Serve then closes
-// whatever is left. Closing first would race a worker's in-flight
-// heartbeat: the reset connection fails before the worker reads its Bye,
-// and it redials a coordinator that is gone.
+// shutdown says goodbye to every serving worker and gives them up to a
+// lease, all told, to hang up; Serve then closes whatever is left.
+// Closing first would race a worker's in-flight heartbeat: the reset
+// connection fails before the worker reads its Bye, and it redials a
+// coordinator that is gone. A worker detached at this point — its
+// connection dropped after its last answer was read — is mid-reattach:
+// it is told on the connection it comes back on, or it would redial a
+// coordinator that is gone until its retry budget runs out. A farewell
+// that fails to send detaches it the same way.
 func (co *coordinator) shutdown(reason string) {
-	defer co.cancel()
-	grace, stop := context.WithTimeout(co.ctx, co.cfg.Lease)
-	defer stop()
-	var wg sync.WaitGroup
-	for _, m := range co.membersWhere(state.serving) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			co.bye(grace, m, reason)
-		}()
-	}
-	wg.Wait()
-}
-
-// bye tells m goodbye and waits for it to hang up. A worker detached at
-// this point — its connection dropped after its last answer was read —
-// is mid-reattach: it is told on the connection it comes back on, or it
-// would redial a coordinator that is gone until its retry budget runs
-// out. A farewell that fails to send detaches m the same way.
-func (co *coordinator) bye(grace context.Context, m *member, reason string) {
-	for {
-		w, err := m.awaitConn(grace)
-		if err != nil {
-			return // lost, or out of grace
-		}
-		if w.send(&Message{Type: MsgBye, Bye: &Bye{Reason: reason}}) != nil {
-			m.detachIf(w)
-			continue
-		}
-		select {
-		case <-w.closed():
-		case <-grace.Done():
-		}
-		return
-	}
+	bye := &Message{Type: MsgBye, Bye: &Bye{Reason: reason}}
+	told := map[*member]link{}
+	left := co.membersWhere(state.serving)
+	// The wait ends when every worker hung up or is lost, or out of grace.
+	_ = co.wait(co.cfg.Lease, func() bool {
+		left = slices.DeleteFunc(left, func(m *member) bool {
+			if l := told[m]; l != nil {
+				_, open := co.conns[l]
+				return !open
+			}
+			if m.conn != nil {
+				if m.conn.send(bye) == nil {
+					told[m] = m.conn
+				} else {
+					co.drop(m.conn)
+				}
+			}
+			return m.gone()
+		})
+		return len(left) == 0
+	})
 }
 
 func (co *coordinator) setWorkersGauge(n int) {

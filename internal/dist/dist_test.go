@@ -492,8 +492,8 @@ func TestDeadlineAbort(t *testing.T) {
 	_, err := Serve(ctx, Config{
 		Listener: ln, Workers: 2, Spec: s, Plan: p,
 		Heartbeat: 50 * time.Millisecond, Lease: 5 * time.Second,
-		RoundDeadline: 50 * time.Millisecond, DeadlineRetries: 1,
-		CtrlObs: ctrl,
+		RoundDeadline: 50 * time.Millisecond,
+		CtrlObs:       ctrl,
 	})
 	if err == nil {
 		t.Fatal("holding past the deadline must fail the run")

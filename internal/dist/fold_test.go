@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -12,14 +13,19 @@ import (
 )
 
 // bareCoordinator builds a coordinator for cfg as Serve does, before its
-// durable state is opened.
+// durable state is opened. Events reach it by hand: handle and sweep
+// apply one directly, and wait pumps a buffered channel the test fills.
 func bareCoordinator(cfg Config) *coordinator {
-	return &coordinator{
+	co := &coordinator{
 		cfg:     cfg.withDefaults(),
+		ctx:     context.Background(),
+		events:  make(chan netEvent, 16), // room for what a test queues before it pumps
 		members: make(map[string]*member),
-		joined:  make(chan struct{}),
-		pending: make(map[uint64]chan *Message),
+		conns:   make(map[link]*member),
+		pending: make(map[uint64]*flight),
 	}
+	co.stamp()
+	return co
 }
 
 // testCoordinator builds a coordinator for cfg with its in-memory durable

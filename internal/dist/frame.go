@@ -53,20 +53,15 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// wire is one framed JSON connection. Sends are serialized by a mutex
-// so the heartbeat goroutine and request senders interleave whole
-// frames; receives belong to a single reader goroutine.
+// wire is one framed JSON connection. A worker sends from its heartbeat
+// goroutine and its read loop, so sends are serialized by a mutex and
+// interleave whole frames; the coordinator sends only from the goroutine
+// that owns it. Receives belong to a single reader goroutine.
 type wire struct {
 	c  net.Conn
 	br *bufio.Reader
 
 	wmu sync.Mutex
-
-	// closedCh fires once when the wire is torn down, letting a request
-	// waiting on this connection resend promptly instead of riding out
-	// its full deadline.
-	closedCh  chan struct{}
-	closeOnce sync.Once
 
 	// Control-plane accounting (wall-clock dependent, never part of the
 	// deterministic artifact): frames and bytes sent on this side.
@@ -77,7 +72,7 @@ type wire struct {
 // newWire wraps a connection. ctrl may be nil for an uninstrumented
 // link.
 func newWire(c net.Conn, ctrl *obs.Registry) *wire {
-	return &wire{c: c, br: bufio.NewReader(c), closedCh: make(chan struct{}),
+	return &wire{c: c, br: bufio.NewReader(c),
 		frames: ctrl.Counter("llmpq_dist_frames_sent_total"),
 		bytes:  ctrl.Counter("llmpq_dist_bytes_sent_total"),
 	}
@@ -120,9 +115,5 @@ func (w *wire) recv() (*Message, error) {
 
 // close tears the connection down; safe to call more than once.
 func (w *wire) close() {
-	w.closeOnce.Do(func() { close(w.closedCh) })
 	_ = w.c.Close() //llmpq:allow(errdrop): idempotent teardown; the peer may have closed first
 }
-
-// closed fires once the wire is torn down.
-func (w *wire) closed() <-chan struct{} { return w.closedCh }

@@ -40,7 +40,7 @@ func TestLostWorkerAdmitFence(t *testing.T) {
 	if _, _, rej, _ := co.admit(&Hello{Name: "w", Token: rec.Token}); rej != "" {
 		t.Fatalf("token echo rejected: %q", rej)
 	}
-	m.markLost()
+	co.markLost(m)
 
 	cases := []struct {
 		name  string
@@ -82,7 +82,7 @@ func TestRejoinAdmitStateMachine(t *testing.T) {
 	if _, _, rej, _ := co.admit(&Hello{Name: "w", Token: rec.Token}); rej != "" {
 		t.Fatalf("token echo rejected: %q", rej)
 	}
-	m.markLost() // loss 1
+	co.markLost(m) // loss 1
 
 	if _, _, rej, retryable := co.admit(&Hello{Name: "w", Token: "lease-99-w", Rejoin: true}); !strings.Contains(rej, "stale rejoin token") || retryable {
 		t.Errorf("stale token must fence fatally, got %q retryable=%v", rej, retryable)
@@ -97,23 +97,21 @@ func TestRejoinAdmitStateMachine(t *testing.T) {
 	if rec2 == nil || rec2.Token == rec.Token {
 		t.Fatalf("rejoin must rotate the token, got %+v", rec2)
 	}
-	m.mu.Lock()
 	rejoining, lost := !m.st.rejoinedAt.IsZero(), !m.st.live()
-	m.mu.Unlock()
 	if !rejoining || lost {
 		t.Errorf("member should be REJOINING, got rejoining=%v lost=%v", rejoining, lost)
 	}
 
 	// A surviving process back from a partition reopens with its own
 	// current token, no rotation.
-	m.markLost() // loss 2
+	co.markLost(m) // loss 2
 	got, rec3, rej, _ := co.admit(&Hello{Name: "w", Token: rec2.Token})
 	if rej != "" || got != m || rec3 != nil {
 		t.Fatalf("tokened rejoin failed: member=%v rec=%v rej=%q", got, rec3, rej)
 	}
 
 	// Loss 3 exceeds the default tolerance of 2: quarantine.
-	m.markLost()
+	co.markLost(m)
 	if _, _, rej, retryable := co.admit(&Hello{Name: "w", Rejoin: true}); !strings.Contains(rej, "quarantined") || retryable {
 		t.Errorf("third loss must quarantine, got %q retryable=%v", rej, retryable)
 	}
@@ -195,9 +193,7 @@ func TestSeedRecoveredHealResurrects(t *testing.T) {
 	if b == nil {
 		t.Fatal("worker-b missing from the recovered membership")
 	}
-	b.mu.Lock()
 	lost, token := !b.st.live(), b.st.token
-	b.mu.Unlock()
 	if lost {
 		t.Error("the journaled heal must resurrect worker-b")
 	}
@@ -359,9 +355,7 @@ func checkHealJournal(t *testing.T, dir string, s *assigner.Spec, p *assigner.Pl
 		}
 		lost := false
 		if m := co.members["worker-b"]; m != nil {
-			m.mu.Lock()
 			lost = !m.st.live()
-			m.mu.Unlock()
 		}
 		if want := len(pst.Plans) == 2; lost != want {
 			t.Errorf("prefix of %d records (%d epochs): worker-b lost=%v, want %v", n, len(pst.Plans), lost, want)

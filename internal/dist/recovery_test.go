@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -407,10 +406,7 @@ func TestAdmitCollisionAndRotation(t *testing.T) {
 	if rej != "" {
 		t.Fatal(rej)
 	}
-	c1, c2 := net.Pipe()
-	defer c1.Close() //llmpq:allow(errdrop): test cleanup
-	defer c2.Close() //llmpq:allow(errdrop): test cleanup
-	mu.attach(newWire(c1, nil))
+	co.attach(mu, &fakeLink{})
 	if _, _, rej, retryable = co.admit(&Hello{Name: "u"}); rej == "" || !retryable {
 		t.Errorf("mid-handshake collision must be a retryable reject (got %q retryable=%v)", rej, retryable)
 	}
@@ -638,66 +634,26 @@ func TestCrashRefusesRedial(t *testing.T) {
 	defer co.cancel()
 
 	// The worker joins and receives its rejoin token.
-	coordSide, workerSide := net.Pipe()
-	go co.handleConn(coordSide)
-	w := newWire(workerSide, nil)
-	if err := w.send(&Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "w"}}); err != nil {
-		t.Fatal(err)
+	w := greet(co, &fakeLink{}, Hello{Name: "w"})
+	if len(w.sent) != 1 || w.sent[0].Type != MsgWelcome {
+		t.Fatalf("join: %+v", w.sent)
 	}
-	msg, err := w.recv()
-	if err != nil || msg.Type != MsgWelcome {
-		t.Fatalf("join: %v %+v", err, msg)
-	}
-	token := msg.Welcome.Token
+	token := w.sent[0].Welcome.Token
 
 	co.crash()
-	if _, err := w.recv(); err == nil {
+	if !w.closed {
 		t.Fatal("the admitted connection survived the crash")
 	}
 
-	// The severed worker redials by token before the coordinator's loops
-	// have stopped: it must be refused, not welcomed.
-	coordSide2, workerSide2 := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		co.handleConn(coordSide2)
-		close(done)
-	}()
-	w2 := newWire(workerSide2, nil)
-	// A refused redial may fail at the send or at the recv below.
-	_ = w2.send(&Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "w", Token: token}})
-	if msg, err := w2.recv(); err == nil {
-		t.Fatalf("a redial into the crashed coordinator was answered: %+v", msg)
+	// The severed worker redials by token before the coordinator has
+	// unwound: it must be refused, not welcomed.
+	w2 := greet(co, &fakeLink{}, Hello{Name: "w", Token: token})
+	if len(w2.sent) > 0 || !w2.closed {
+		t.Fatalf("a redial into the crashed coordinator was answered: %+v", w2.sent)
 	}
-	<-done
-	m := co.members["w"]
-	m.mu.Lock()
-	conn := m.conn
-	m.mu.Unlock()
-	if conn != nil {
-		select {
-		case <-conn.closed():
-		default:
-			t.Error("the crashed coordinator holds a live connection for the worker")
-		}
+	if conn := co.members["w"].conn; conn != nil && !conn.(*fakeLink).closed {
+		t.Error("the crashed coordinator holds a live connection for the worker")
 	}
-}
-
-// gateConn holds the first Write on the connection until released and
-// signals when it starts.
-type gateConn struct {
-	net.Conn
-	once    sync.Once
-	writing chan struct{}
-	release chan struct{}
-}
-
-func (g *gateConn) Write(b []byte) (int, error) {
-	g.once.Do(func() {
-		close(g.writing)
-		<-g.release
-	})
-	return g.Conn.Write(b)
 }
 
 // TestWelcomePrecedesAttach: a connection is attached — open to stage
@@ -710,29 +666,19 @@ func TestWelcomePrecedesAttach(t *testing.T) {
 	p := distPlan(t, s)
 	cfg := Config{Workers: 2, Spec: s, Plan: p}
 	co := testCoordinator(t, cfg)
-	co.ctx, co.cancel = context.WithCancel(context.Background())
-	defer co.cancel()
 
-	coordSide, workerSide := net.Pipe()
-	defer workerSide.Close() //llmpq:allow(errdrop): test cleanup
-	gate := &gateConn{Conn: coordSide, writing: make(chan struct{}), release: make(chan struct{})}
-	go co.handleConn(gate)
-	w := newWire(workerSide, nil)
-	if err := w.send(&Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "w"}}); err != nil {
-		t.Fatal(err)
+	var attached bool
+	w := &fakeLink{}
+	w.onSend = func(*Message) {
+		if len(w.sent) == 1 { // the coordinator is writing the welcome
+			attached = co.members["w"].conn != nil
+		}
 	}
-	<-gate.writing // the coordinator is writing the welcome
-	co.mu.Lock()
-	m := co.members["w"]
-	co.mu.Unlock()
-	m.mu.Lock()
-	attached := m.conn != nil
-	m.mu.Unlock()
-	close(gate.release)
+	greet(co, w, Hello{Name: "w"})
 	if attached {
 		t.Error("the connection was attached before its welcome went out")
 	}
-	if msg, err := w.recv(); err != nil || msg.Type != MsgWelcome {
-		t.Fatalf("first frame %+v (%v), want the welcome", msg, err)
+	if len(w.sent) == 0 || w.sent[0].Type != MsgWelcome {
+		t.Fatalf("first frame %+v, want the welcome", w.sent)
 	}
 }

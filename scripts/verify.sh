@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full correctness gate: tier-1 verify, the llmpq-vet lint suite, the race
-# lane, a one-iteration benchmark lane, and a ~60 s fuzz smoke (quantizer,
-# serve decode, journal replay).
+# lane, the dist stress lane, a one-iteration benchmark lane, and a ~60 s
+# fuzz smoke (quantizer, serve decode, journal replay).
 # Mirrors `make verify-all`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,6 +28,8 @@ echo "== perfbench tests (separate module) =="
 (cd perfbench && go test ./...)
 echo "== race lane (make verify-race) =="
 make verify-race
+echo "== dist stress lane (make stress-dist: interleaving tests x10 at -cpu 2,4) =="
+make stress-dist
 echo "== benchmark smoke (make bench-smoke: every internal benchmark once) =="
 make bench-smoke
 echo "== observability smoke (llmpq-bench -metrics-out/-trace-out) =="
