@@ -24,7 +24,7 @@ import (
 //     without touching the DP.
 //   - benefit tables: the sorted ω-savings prefix sums of buildBenefits,
 //     which depend only on (Bits, Omega) — fleet changes never invalidate
-//     them.
+//     them. Only MethodDP looks them up.
 //
 // Cost tables (BuildTables) are not cached: they take microseconds, less
 // than hashing their keys would.

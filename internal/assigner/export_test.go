@@ -33,3 +33,10 @@ var (
 
 // PrefillCandidates returns the prefill micro-batch sizes Optimize tries.
 func PrefillCandidates(s *Spec) []int { return s.prefillCandidates() }
+
+// CheckEpsSkip holds the skipping ε scan to the oracle's full one on s
+// (see checkEpsSkip) and returns the DP cells the skips saved.
+func CheckEpsSkip(t *testing.T, s *Spec) float64 {
+	t.Helper()
+	return checkEpsSkip(t, s, nil)
+}

@@ -101,14 +101,20 @@ func Optimize(s *Spec, timer LayerTimer) (*Result, error) {
 		}
 	}
 
-	// One benefit table serves every inner solve of this call (and, via
-	// the cache, future calls): see benefitsFor. MethodILP never reads it.
+	// One benefit table serves every inner solve of this call. The DP's
+	// full table is shared with future calls through the cache (see
+	// benefitsFor); the adabits and heuristic methods read one range per
+	// stage, so they get a table without prefix sums. MethodILP reads none.
 	var bt *benefitTable
-	if s.Method != MethodILP {
-		var err error
-		if bt, err = benefitsFor(s); err != nil {
-			return fail(err)
-		}
+	var err error
+	switch s.Method {
+	case MethodDP:
+		bt, err = benefitsFor(s)
+	case MethodAdabits, MethodHeuristic:
+		bt, err = buildBenefitBase(s)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	combos := len(mbps) * len(orders)

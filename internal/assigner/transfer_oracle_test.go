@@ -169,10 +169,6 @@ func transferStarts(t testing.TB, s *Spec) (tbs []*Tables, starts [][]*Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := [][2]float64{
-		{0.92, 0.92}, {0.82, 0.82}, {0.7, 0.7}, {0.55, 0.55}, {0.4, 0.4},
-		{1, 0.7}, {0.7, 1}, {1, 0.45}, {0.45, 1}, {0.85, 0.6}, {0.6, 0.85},
-	}
 	for _, mb := range s.prefillCandidates() {
 		tb, err := BuildTables(s, ProfilerTimer{}, mb)
 		if err != nil {
@@ -197,7 +193,7 @@ func transferStarts(t testing.TB, s *Spec) (tbs []*Tables, starts [][]*Plan) {
 					t.Fatal(err)
 				}
 				maxPre, maxDec := maxOf(bestEv.StagePre), maxOf(bestEv.StageDec)
-				for _, fc := range grid {
+				for _, fc := range epsGrid {
 					p, err := solveDP(tb, order, bt, mt, buf, fc[0]*maxPre, fc[1]*maxDec)
 					if err != nil {
 						t.Fatal(err)

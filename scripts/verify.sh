@@ -45,6 +45,11 @@ go run ./cmd/llmpq-algo -cluster 9 -model-name opt-13b -parallel 1 -o "$obsdir/s
 go run ./cmd/llmpq-algo -cluster 9 -model-name opt-13b -parallel 4 -o "$obsdir/parallel.json" > /dev/null
 diff "$obsdir/serial.json" "$obsdir/parallel.json" || {
     echo "verify.sh: parallel planner diverged from the serial plan" >&2; exit 1; }
+# The heuristic reads benefit sums without the DP's prefix table.
+go run ./cmd/llmpq-algo -cluster 4 -method heuristic -parallel 1 -o "$obsdir/heur-serial.json" > /dev/null
+go run ./cmd/llmpq-algo -cluster 4 -method heuristic -parallel 4 -o "$obsdir/heur-parallel.json" > /dev/null
+diff "$obsdir/heur-serial.json" "$obsdir/heur-parallel.json" || {
+    echo "verify.sh: parallel heuristic planner diverged from the serial plan" >&2; exit 1; }
 echo "== chaos smoke (permanent device loss must be reproducible byte-for-byte) =="
 go build -o "$obsdir/llmpq-bench" ./cmd/llmpq-bench
 mkdir -p "$obsdir/chaos1" "$obsdir/chaos2"
