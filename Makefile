@@ -12,12 +12,10 @@ verify:
 	$(GO) run ./cmd/llmpq-vet ./...
 	$(GO) test ./...
 
-# Domain lint suite alone, cached and parallel: warm runs re-analyze only
-# packages whose file contents or module-local import closure changed.
-VET_CACHE := .vetcache
+# Domain lint suite alone.
 .PHONY: vet
 vet:
-	$(GO) run ./cmd/llmpq-vet -cache-dir $(VET_CACHE) ./...
+	$(GO) run ./cmd/llmpq-vet ./...
 
 # Race lane: the pipeline engine (incl. the instrumented goroutine
 # pipeline), online admission, simulated clock, observability registry,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/assigner"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/hardware"
 	"repro/internal/model"
@@ -26,34 +25,21 @@ import (
 // the same seed diff clean — the contract scripts/verify.sh's chaos
 // smoke enforces. The solve cache keeps that contract: its hit/miss
 // counters (flushed by the replan) are deterministic per workload.
-func runChaos(profile string, seed int64, metricsOut, traceOut string, solveCache bool) error {
+func runChaos(profile string, seed int64, metricsOut, traceOut string) error {
 	if profile == chaos.ProfileKVPressure {
 		return runChaosOnline(profile, seed, metricsOut)
 	}
 	reg := obs.NewRegistry()
 	rec := obs.NewSpanRecorder()
 
-	spec, err := core.BuildSpec(core.Request{
-		ModelName:     "opt-13b",
-		DeviceNames:   []string{"T4", "V100"},
-		DeviceNumbers: []int{1, 1},
-		Interconnect:  "eth800",
-		GlobalBatch:   8,
-		PromptLen:     128,
-		Generate:      16,
-		Theta:         0.1,
-		Group:         4,
-		Method:        assigner.MethodDP,
-	})
+	spec, err := demoSpec()
 	if err != nil {
 		return err
 	}
-	if solveCache {
-		// The initial solve seeds the cache; the failover replan then
-		// warm-starts from it (the benefit table survives the device loss,
-		// and the restore after a heal hits every combination).
-		spec.Cache = assigner.NewSolveCache()
-	}
+	// The initial solve seeds the cache; the failover replan then
+	// warm-starts from it (the benefit table survives the device loss,
+	// and the restore after a heal hits every combination).
+	spec.Cache = assigner.NewSolveCache()
 	res, err := assigner.Optimize(spec, nil)
 	if err != nil {
 		return err

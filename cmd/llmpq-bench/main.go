@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/assigner"
 	"repro/internal/chaos"
 	"repro/internal/experiments"
 )
@@ -74,13 +73,10 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		metricsOut = flag.String("metrics-out", "", "run an instrumented demo serve and write its metrics dump here")
 		traceOut   = flag.String("trace-out", "", "run an instrumented demo serve and write its Chrome trace JSON here")
-		parallel   = flag.Int("parallel", 0, "planner search workers for every experiment (0 = all CPUs); plans are identical at any setting")
 		chaosProf  = flag.String("chaos-profile", "", fmt.Sprintf("run the fault-injection demo with this profile (one of %v)", chaos.Profiles()))
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for -chaos-profile; same seed reproduces the fault run byte-for-byte")
-		solveCache = flag.Bool("solve-cache", true, "memoize solve outcomes across solves so replans warm-start; plans are byte-identical either way")
 	)
 	flag.Parse()
-	assigner.SetDefaultParallelism(*parallel)
 
 	rs := runners()
 	if *list {
@@ -90,7 +86,7 @@ func main() {
 		return
 	}
 	if *chaosProf != "" {
-		if err := runChaos(*chaosProf, *chaosSeed, *metricsOut, *traceOut, *solveCache); err != nil {
+		if err := runChaos(*chaosProf, *chaosSeed, *metricsOut, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "llmpq-bench: chaos run failed: %v\n", err)
 			os.Exit(1)
 		}

@@ -10,17 +10,10 @@ import (
 	"repro/internal/runtime"
 )
 
-// runObserved serves one small offline workload end to end — plan with the
-// assigner, execute on the simulated engine — with full observability
-// attached, then writes the requested artifacts: a Prometheus-style text
-// dump (-metrics-out) and a Chrome trace_event JSON (-trace-out) loadable
-// in chrome://tracing or Perfetto. The trace is re-parsed after writing so
-// a corrupt artifact fails the run instead of failing the viewer later.
-func runObserved(metricsOut, traceOut string) error {
-	reg := obs.NewRegistry()
-	rec := obs.NewSpanRecorder()
-
-	spec, err := core.BuildSpec(core.Request{
+// demoSpec is the small heterogeneous workload both demos plan: opt-13b
+// on one T4 and one V100.
+func demoSpec() (*assigner.Spec, error) {
+	return core.BuildSpec(core.Request{
 		ModelName:     "opt-13b",
 		DeviceNames:   []string{"T4", "V100"},
 		DeviceNumbers: []int{1, 1},
@@ -32,6 +25,19 @@ func runObserved(metricsOut, traceOut string) error {
 		Group:         4,
 		Method:        assigner.MethodDP,
 	})
+}
+
+// runObserved serves one small offline workload end to end — plan with the
+// assigner, execute on the simulated engine — with full observability
+// attached, then writes the requested artifacts: a Prometheus-style text
+// dump (-metrics-out) and a Chrome trace_event JSON (-trace-out) loadable
+// in chrome://tracing or Perfetto. The trace is re-parsed after writing so
+// a corrupt artifact fails the run instead of failing the viewer later.
+func runObserved(metricsOut, traceOut string) error {
+	reg := obs.NewRegistry()
+	rec := obs.NewSpanRecorder()
+
+	spec, err := demoSpec()
 	if err != nil {
 		return err
 	}
@@ -53,11 +59,8 @@ func runObserved(metricsOut, traceOut string) error {
 	fmt.Printf("observed serve: %s on %s — latency %.2f s, throughput %.2f token/s, %d spans\n",
 		spec.Cfg.Name, spec.Cluster.Name, st.LatencySec, st.Throughput, rec.Len())
 
-	if metricsOut != "" {
-		if err := obs.WriteArtifact(metricsOut, reg.WriteText); err != nil {
-			return fmt.Errorf("write metrics: %w", err)
-		}
-		fmt.Printf("metrics dump: %s\n", metricsOut)
+	if err := writeMetrics(reg, metricsOut); err != nil {
+		return err
 	}
 	if traceOut != "" {
 		if err := obs.WriteArtifact(traceOut, rec.WriteChromeTrace); err != nil {

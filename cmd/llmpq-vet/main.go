@@ -9,33 +9,28 @@
 //	llmpq-vet ./...                  # whole module (CI gate)
 //	llmpq-vet -json ./internal/...   # machine-readable findings
 //	llmpq-vet -sarif out.sarif ./... # SARIF 2.1.0 for code-scanning UIs
-//	llmpq-vet -cache-dir .vetcache ./...  # reuse results for unchanged packages
-//	llmpq-vet -unitmix=false ./...   # disable one analyzer
 //
-// Exit status: 0 clean, 1 findings, 2 load/usage error. A finding is
-// suppressed by `//llmpq:allow(<analyzer>): <reason>` on its line or the
-// line above; the reason is required, and a directive that no longer
-// suppresses anything is itself a finding.
+// Exit status: 0 clean, 1 findings, 2 load/usage error. Every analyzer
+// always runs. A finding is suppressed by
+// `//llmpq:allow(<analyzer>): <reason>` on its line or the line above;
+// the reason is required, and a directive that no longer suppresses
+// anything is itself a finding.
 //
-// Analysis is parallel across packages (-parallel, default GOMAXPROCS);
-// loading and type-checking stay serial because the loader shares state.
-// With -cache-dir, per-package results are keyed by a content hash of the
-// package's module-local import closure, the suite's own sources, the
-// manifest, and the enabled analyzer set, so repeat runs over an unchanged
-// tree skip analysis entirely.
+// Packages are loaded, type-checked and analyzed one after another;
+// loading and type-checking dominate a run.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 )
@@ -49,12 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "number of packages analyzed concurrently")
-	cacheDir := fs.String("cache-dir", "", "directory for the per-package result cache (empty = no caching)")
-	enabled := map[string]*bool{}
-	for _, a := range analysis.Analyzers() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+a.Doc)
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -62,15 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var active []*analysis.Analyzer
-	for _, a := range analysis.Analyzers() {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	if *parallel < 1 {
-		*parallel = 1
-	}
+	analyzers := analysis.Analyzers()
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -88,77 +69,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The whole-module import scan feeds two things: the sim/ctrl fact
-	// propagation (facts must see the full graph even when analyzing a
-	// subset) and the cache keys (a package's result depends on its
-	// module-local import closure).
-	graph, err := scanImports(modRoot, modPath)
+	// The sim/ctrl fact propagation must see the whole module's import
+	// graph even when analyzing a subset.
+	imports, err := scanImports(modRoot, modPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "llmpq-vet: %v\n", err)
 		return 2
 	}
-	facts := analysis.ComputeFacts(nil, graph.imports)
+	facts := analysis.ComputeFacts(nil, imports)
 
-	var cache *resultCache
-	if *cacheDir != "" {
-		cache, err = newResultCache(*cacheDir, graph, activeNames(active))
-		if err != nil {
-			fmt.Fprintf(stderr, "llmpq-vet: cache: %v\n", err)
-			return 2
-		}
-	}
-
-	// Phase 1: satisfy what we can from the cache; collect the rest.
-	perDir := make([][]analysis.Diagnostic, len(dirs))
-	var misses []int
-	for i, dir := range dirs {
-		if cache != nil {
-			if diags, ok := cache.get(dirImportPath(modRoot, modPath, dir)); ok {
-				perDir[i] = diags
-				continue
-			}
-		}
-		misses = append(misses, i)
-	}
-
-	// Phase 2: load misses serially (the loader shares one fileset and
-	// package map), then analyze them in parallel — the type-checked Info
-	// is read-only from here on.
 	loader := analysis.NewLoader(modRoot, modPath)
-	pkgs := make([]*analysis.Package, len(misses))
-	for j, i := range misses {
-		pkg, err := loader.LoadDir(dirs[i])
+	var diags []analysis.Diagnostic
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			fmt.Fprintf(stderr, "llmpq-vet: %v\n", err)
 			return 2
 		}
-		pkgs[j] = pkg
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, *parallel)
-	for j := range pkgs {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			perDir[misses[j]] = analysis.RunPackageFacts(pkgs[j], active, facts)
-		}(j)
-	}
-	wg.Wait()
-	if cache != nil {
-		for j, i := range misses {
-			if err := cache.put(pkgs[j].Path, perDir[i]); err != nil {
-				fmt.Fprintf(stderr, "llmpq-vet: cache: %v\n", err)
-				return 2
-			}
-		}
-		fmt.Fprintf(stderr, "llmpq-vet: %d/%d packages from cache\n", len(dirs)-len(misses), len(dirs))
-	}
-
-	var diags []analysis.Diagnostic
-	for _, d := range perDir {
-		diags = append(diags, d...)
+		diags = append(diags, analysis.RunPackageFacts(pkg, analyzers, facts)...)
 	}
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -167,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, active, diags); err != nil {
+		if err := writeSARIF(*sarifPath, analyzers, diags); err != nil {
 			fmt.Fprintf(stderr, "llmpq-vet: sarif: %v\n", err)
 			return 2
 		}
@@ -196,13 +124,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func activeNames(active []*analysis.Analyzer) []string {
-	names := make([]string, len(active))
-	for i, a := range active {
-		names[i] = a.Name
+// scanImports maps every module package's import path to its sorted
+// module-local imports, read from its non-test .go files with
+// parser.ImportsOnly, so it costs a fraction of a type-check.
+func scanImports(modRoot, modPath string) (map[string][]string, error) {
+	dirs, err := analysis.PackageDirs(modRoot)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
-	return names
+	imports := map[string][]string{}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		depSet := map[string]bool{}
+		hasFiles := false
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			hasFiles = true
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+			if err != nil {
+				return nil, err
+			}
+			for _, imp := range f.Imports {
+				dep := strings.Trim(imp.Path.Value, `"`)
+				if dep == modPath || strings.HasPrefix(dep, modPath+"/") {
+					depSet[dep] = true
+				}
+			}
+		}
+		if !hasFiles {
+			continue
+		}
+		deps := make([]string, 0, len(depSet))
+		for d := range depSet {
+			deps = append(deps, d)
+		}
+		sort.Strings(deps)
+		imports[dirImportPath(modRoot, modPath, dir)] = deps
+	}
+	return imports, nil
 }
 
 // dirImportPath maps an absolute package directory to its import path.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/analysis"
 )
 
-// Minimal SARIF 2.1.0 writer: one run, one rule per enabled analyzer,
+// Minimal SARIF 2.1.0 writer: one run, one rule per analyzer,
 // one result per diagnostic. Only the fields code-scanning consumers
 // actually read are emitted.
 
@@ -67,9 +67,9 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-func writeSARIF(path string, active []*analysis.Analyzer, diags []analysis.Diagnostic) error {
-	rules := make([]sarifRule, 0, len(active)+1)
-	for _, a := range active {
+func writeSARIF(path string, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) error {
+	rules := make([]sarifRule, 0, len(analyzers)+1)
+	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
 	}
 	// Directive misuse (unused/ill-formed llmpq:allow) is filed under the

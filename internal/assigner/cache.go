@@ -318,7 +318,6 @@ func (s *Spec) comboBaseKey(timerKey string) string {
 	}
 	x.ints(s.Omega.Bits)
 	x.f64(s.Theta)
-	x.f64(s.memoryReserve())
 	x.i64(int64(s.Method))
 	x.i64(int64(s.TimeLimit))
 	x.i64(int64(len(s.Cluster.Devices)))

@@ -67,7 +67,6 @@ func TestSolveCacheStaleness(t *testing.T) {
 			s.Omega = subsetOmega(s.Omega, []int{8, 16})
 		}},
 		{"kv-bits", func(s *Spec) { s.KVBits = 8 }},
-		{"memory-reserve", func(s *Spec) { s.MemoryReserve = 0.10 }},
 		{"model-hidden", func(s *Spec) { s.Cfg.Hidden += 512 }},
 		{"gpu-compute-eff", func(s *Spec) {
 			d := &s.Cluster.Devices[0]

@@ -19,27 +19,10 @@ type Result struct {
 	Explored int // (order, micro-batch) combinations tried
 }
 
-// defaultParallelism is the process-wide worker-pool fallback used when
-// Spec.Parallelism is zero (the CLIs' -parallel flag installs it); 0 falls
-// through to runtime.NumCPU().
-var defaultParallelism atomic.Int32
-
-// SetDefaultParallelism installs the process-wide fallback for
-// Spec.Parallelism == 0. n <= 0 restores the runtime.NumCPU() default.
-func SetDefaultParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultParallelism.Store(int32(n))
-}
-
 // parallelism resolves the effective worker count for one Optimize call.
 func (s *Spec) parallelism() int {
 	if s.Parallelism > 0 {
 		return s.Parallelism
-	}
-	if n := int(defaultParallelism.Load()); n > 0 {
-		return n
 	}
 	return runtime.NumCPU()
 }

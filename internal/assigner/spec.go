@@ -91,9 +91,6 @@ type Spec struct {
 	Method  Method
 	// TimeLimit bounds the ILP solve (0 = none); the paper uses 60 s.
 	TimeLimit time.Duration
-	// MemoryReserve is the fraction of device memory withheld from the
-	// planner (allocator slack). Default 0.05 when zero.
-	MemoryReserve float64
 	// KVBits is the KV-cache precision: 0/16 = FP16 (the paper's runtime),
 	// 8 = INT8 KV quantization (extension; near-lossless, halves KV memory
 	// and decode KV traffic).
@@ -102,10 +99,10 @@ type Spec struct {
 	// (Optimization #1 enumerates within [1, ξ]); nil = powers of two.
 	PrefillMicroBatches []int
 	// Parallelism bounds the worker goroutines Optimize spreads the
-	// (prefill micro-batch × device order) search over. 0 picks the
-	// process-wide default (SetDefaultParallelism, else runtime.NumCPU());
-	// 1 forces a serial scan. The result is byte-identical at every
-	// setting: see the deterministic reduction in Optimize.
+	// (prefill micro-batch × device order) search over. 0 picks
+	// runtime.NumCPU(); 1 forces a serial scan. The result is
+	// byte-identical at every setting: see the deterministic reduction in
+	// Optimize.
 	Parallelism int
 	// Obs, when non-nil, receives solver metrics: time-to-plan, (order,
 	// micro-batch) combinations, DP cells (stage mixtures scanned), ILP
@@ -199,12 +196,9 @@ func (s *Spec) kvBits() int {
 	return s.KVBits
 }
 
-func (s *Spec) memoryReserve() float64 {
-	if s.MemoryReserve <= 0 {
-		return 0.05
-	}
-	return s.MemoryReserve
-}
+// memoryReserve is the fraction of device memory withheld from the
+// planner (allocator slack).
+const memoryReserve = 0.05
 
 // decodeMicroBatch follows Optimization #1: the global batch is evenly
 // partitioned across pipeline stages during decode.

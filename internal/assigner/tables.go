@@ -96,7 +96,7 @@ func BuildTables(s *Spec, timer LayerTimer, prefillMB int) (*Tables, error) {
 			s.Cfg.KVBytesPerLayer(s.Work.GlobalBatch, maxSeq, s.kvBits()))
 	}
 	for d, dev := range s.Cluster.Devices {
-		t.Capacity[d] = dev.GPU.MemoryBytes() * (1 - s.memoryReserve())
+		t.Capacity[d] = dev.GPU.MemoryBytes() * (1 - memoryReserve)
 		var err error
 		if t.TPre[d], err = buildPrefillRow(s, timer, dev.GPU, prefillMB); err != nil {
 			return nil, err

@@ -256,11 +256,6 @@ type Config struct {
 
 // Validate checks the configuration for closed-loop (trace) use.
 func (c Config) Validate() error {
-	switch c.Bits {
-	case 3, 4, 8, 16:
-	default:
-		return fmt.Errorf("online: unsupported bitwidth %d", c.Bits)
-	}
 	if c.Arrival <= 0 || c.Duration <= 0 || c.MaxNew <= 0 {
 		return fmt.Errorf("online: arrival/duration/maxnew must be positive")
 	}
@@ -272,11 +267,6 @@ func (c Config) Validate() error {
 // Duration may be zero, but MaxNew must still be positive — it is the
 // per-request generation cap Submit enforces.
 func (c Config) ValidateOpen() error {
-	switch c.Bits {
-	case 3, 4, 8, 16:
-	default:
-		return fmt.Errorf("online: unsupported bitwidth %d", c.Bits)
-	}
 	if c.Arrival < 0 || c.Duration < 0 {
 		return fmt.Errorf("online: negative arrival/duration in open-loop config")
 	}
@@ -288,6 +278,11 @@ func (c Config) ValidateOpen() error {
 
 // validateServing checks the knobs shared by both arrival sources.
 func (c Config) validateServing() error {
+	switch c.Bits {
+	case 3, 4, 8, 16:
+	default:
+		return fmt.Errorf("online: unsupported bitwidth %d", c.Bits)
+	}
 	if c.MaxBatch <= 0 {
 		return fmt.Errorf("online: max batch must be positive")
 	}
@@ -824,8 +819,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // Run simulates the configured closed-loop workload: a seeded Poisson
-// arrival trace pushed through the same engine the open-loop admission
-// surface drives.
+// arrival trace pushed through StepOnce, the same step the open-loop
+// admission surface drives.
 func Run(c Config) (Stats, error) {
 	if err := c.Validate(); err != nil {
 		return Stats{}, err
@@ -858,21 +853,8 @@ func Run(c Config) (Stats, error) {
 			if e.queue[e.qi].arrive > e.now {
 				e.now = e.queue[e.qi].arrive
 			}
-			e.shedExcess()
-			e.admit()
-			if len(e.running) == 0 {
-				for e.qi < len(e.queue) && e.queue[e.qi].shed {
-					e.qi++
-				}
-				if e.qi < len(e.queue) && e.queue[e.qi].arrive <= e.now {
-					// KV pool cannot fit even one request: reject it.
-					e.rejectHead(e.queue[e.qi])
-					e.qi++
-				}
-				continue
-			}
 		}
-		if err := e.step(); err != nil {
+		if _, err := e.StepOnce(); err != nil {
 			return Stats{}, err
 		}
 		if e.steps > maxSteps {

@@ -75,7 +75,7 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 		if pre.Count() == 0 || dec.Count() == 0 {
 			t.Errorf("stage %d: busy histograms empty (prefill %d, decode %d)", j, pre.Count(), dec.Count())
 		}
-		got := pre.Sum() + dec.Sum()
+		got := pre.Mean()*float64(pre.Count()) + dec.Mean()*float64(dec.Count())
 		want := st.StageBusy[j]
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("stage %d: busy histogram sum %.9f != StageBusy %.9f", j, got, want)

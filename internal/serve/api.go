@@ -12,9 +12,10 @@ import (
 type CompletionRequest struct {
 	Model  string `json:"model"`
 	Prompt string `json:"prompt"`
-	// MaxTokens is the generation budget. nil selects the server default;
-	// zero or negative values are rejected with 400, values above the
-	// server cap with 400 as well (the simulator bounds per-request work).
+	// MaxTokens is the generation budget. nil selects the server cap
+	// (Engine.MaxNew); zero or negative values are rejected with 400,
+	// values above the cap with 400 as well (the simulator bounds
+	// per-request work).
 	MaxTokens *int `json:"max_tokens"`
 	// Stream selects SSE token streaming over a single JSON response.
 	Stream bool `json:"stream"`

@@ -159,7 +159,8 @@ func (s *Server) decodeCompletionRequest(r *http.Request) (req CompletionRequest
 	if promptTok <= 0 {
 		return req, 0, 0, fmt.Errorf("prompt must contain at least one token")
 	}
-	maxTok = s.opts.DefaultMaxTokens
+	// A request that omits max_tokens gets the per-request cap.
+	maxTok = s.opts.Engine.MaxNew
 	if req.MaxTokens != nil {
 		maxTok = *req.MaxTokens
 	}

@@ -240,6 +240,29 @@ func TestCompletionStream(t *testing.T) {
 	}
 }
 
+// TestDefaultMaxTokens covers a request that omits max_tokens: unary
+// and streamed, it generates exactly Engine.MaxNew tokens.
+func TestDefaultMaxTokens(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	want := testOptions().Engine.MaxNew
+
+	resp := postCompletion(t, ts.URL, `{"prompt": "no budget given"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("unary status %d", resp.StatusCode)
+	}
+	if cr := decodeCompletion(t, resp); cr.Usage == nil || cr.Usage.CompletionTokens != want {
+		t.Errorf("unary usage %+v, want %d completion tokens", cr.Usage, want)
+	}
+
+	resp = postCompletion(t, ts.URL, `{"prompt": "no budget given", "stream": true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	if st := readSSE(t, resp); st.tokens() != want {
+		t.Errorf("streamed %d token chunks, want %d", st.tokens(), want)
+	}
+}
+
 // streamClients runs n concurrent streaming completions of maxTokens
 // tokens each and returns their parsed streams in client order.
 func streamClients(t *testing.T, url string, n, maxTokens int) []sseStream {

@@ -46,9 +46,6 @@ type Options struct {
 	// a positive hold paces token streams and widens the window in which
 	// concurrent arrivals join the same continuous batch.
 	StepHold time.Duration
-	// DefaultMaxTokens is used when a request omits max_tokens. Zero or
-	// out-of-range values fall back to Engine.MaxNew (the per-request cap).
-	DefaultMaxTokens int
 	// RetrySeed seeds the deterministic Retry-After derivation for 429
 	// responses (core/retry jittered backoff).
 	RetrySeed int64
@@ -98,9 +95,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Ctrl == nil {
 		opts.Ctrl = obs.NewRegistry()
-	}
-	if opts.DefaultMaxTokens <= 0 || opts.DefaultMaxTokens > opts.Engine.MaxNew {
-		opts.DefaultMaxTokens = opts.Engine.MaxNew
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
