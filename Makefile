@@ -55,16 +55,18 @@ cover:
 		if (got + 0 < floor + 0) { printf "cover: %.1f%% is below the %.1f%% floor\n", got, floor; exit 1 } \
 		printf "cover: %.1f%% (floor %.1f%%)\n", got, floor }'
 
-# Fuzz smoke: ~60 s across the quantizer fuzz lanes (Theorem 1 error
+# Fuzz smoke: ~70 s across the quantizer fuzz lanes (Theorem 1 error
 # envelope + group-wise packing invariants), the HTTP front door's
-# request-decode + SSE framing lane, and the coordinator journal's
-# replay/decode lane (mutated journals must fail typed, never panic).
+# request-decode + SSE framing lane, the coordinator journal's
+# replay/decode lane (mutated journals must fail typed, never panic), and
+# the DP kernel's capped pass against the oracle kernel.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzQuantDequantRoundTrip -fuzztime=15s ./internal/quant
 	$(GO) test -run='^$$' -fuzz=FuzzGroupwisePack -fuzztime=15s ./internal/quant
 	$(GO) test -run='^$$' -fuzz=FuzzCompletionRequest -fuzztime=15s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=15s ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzDPMatchesOracle -fuzztime=10s ./internal/assigner
 
 # Benchmark smoke: every benchmark under internal/ runs once, so the
 # BenchmarkReplan / BenchmarkColdOptimize rows CHANGES.md cites stay

@@ -103,11 +103,7 @@ func solveAdabits(t *Tables, order []int, bt *benefitTable) (*Plan, error) {
 		for g := lo; g < hi; g++ {
 			p.GroupBits[g] = s.Bits[pr[0]]
 		}
-		up, err := upgradedSet(s, bestPi, bt, lo, k, bestCntB)
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range up {
+		for _, g := range upgradedSet(bt, bestPi, lo, k, bestCntB) {
 			p.GroupBits[g] = s.Bits[pr[1]]
 		}
 	}

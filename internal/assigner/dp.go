@@ -195,40 +195,26 @@ func (bt *benefitTable) sortedSums(pi, lo, k int, buf []float64) (base float64, 
 }
 
 // upgradedSet returns the cntB group indices in [lo,lo+k) with the largest
-// upgrade benefit for pair pi (recomputed directly; reconstruction only).
-func upgradedSet(s *Spec, pi int, bt *benefitTable, lo, k, cntB int) ([]int, error) {
+// upgrade benefit for pair pi, ties broken by the lower index
+// (reconstruction only).
+func upgradedSet(bt *benefitTable, pi, lo, k, cntB int) []int {
 	pr := bt.pairs[pi]
-	bitsA, bitsB := s.Bits[pr[0]], s.Bits[pr[1]]
-	type lb struct {
-		idx int
-		ben float64
+	wa, wb := bt.omega[pr[0]], bt.omega[pr[1]]
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = lo + i
 	}
-	var arr []lb
-	for l := lo; l < lo+k; l++ {
-		wa, err := s.Omega.At(l, bitsA)
-		if err != nil {
-			return nil, err
+	// The order is sort.Slice's less, returned as -1 or +1: the generic
+	// sort tests only cmp < 0, where sort.Slice tests less, so even NaN
+	// and ±0 benefits land where sort.Slice put them.
+	slices.SortFunc(idx, func(x, y int) int {
+		bx, by := wa[x]-wb[x], wa[y]-wb[y]
+		if bx > by || (!(bx < by) && x < y) {
+			return -1
 		}
-		wb, err := s.Omega.At(l, bitsB)
-		if err != nil {
-			return nil, err
-		}
-		arr = append(arr, lb{l, wa - wb})
-	}
-	sort.Slice(arr, func(i, j int) bool {
-		if arr[i].ben > arr[j].ben {
-			return true
-		}
-		if arr[i].ben < arr[j].ben {
-			return false
-		}
-		return arr[i].idx < arr[j].idx
+		return 1
 	})
-	var out []int
-	for i := 0; i < cntB; i++ {
-		out = append(out, arr[i].idx)
-	}
-	return out, nil
+	return idx[:cntB]
 }
 
 type dpChoice struct {
@@ -327,17 +313,38 @@ func newMixTable(t *Tables, order []int, bt *benefitTable, kmax int) *mixTable {
 // choice grids, flattened as [j*(L+1) + l], and the mixtures of one (stage,
 // group count) cell that meet a pass's time caps. Every pass of the call
 // reuses the one buffer.
+//
+// An unconstrained pass also keeps its grids as the reference that later
+// capped passes take cells from (solveDP): refCost and refChoice, and
+// refPre and refDec, the largest mixture-table stage times on the path to
+// each reachable cell.
 type dpBuf struct {
 	cost   []float64
 	choice []dpChoice
 	mixes  []mixture
+	// hasRef is set once an unconstrained pass has filled the reference.
+	hasRef                  bool
+	refCost, refPre, refDec []float64
+	refChoice               []dpChoice
+	// open marks the cells of the current row that a pass must scan.
+	open []bool
+	// reused counts the cells the last pass took from the reference.
+	reused int
 }
 
 func newDPBuf(n, L int, mt *mixTable) *dpBuf {
+	size := (n + 1) * (L + 1)
+	grids := make([]float64, 4*size)
+	choices := make([]dpChoice, 2*size)
 	return &dpBuf{
-		cost:   make([]float64, (n+1)*(L+1)),
-		choice: make([]dpChoice, (n+1)*(L+1)),
-		mixes:  make([]mixture, 0, mt.widest),
+		cost:      grids[:size:size],
+		refCost:   grids[size : 2*size : 2*size],
+		refPre:    grids[2*size : 3*size : 3*size],
+		refDec:    grids[3*size:],
+		choice:    choices[:size:size],
+		refChoice: choices[size:],
+		mixes:     make([]mixture, 0, mt.widest),
+		open:      make([]bool, L+1),
 	}
 }
 
@@ -351,25 +358,64 @@ func newDPBuf(n, L int, mt *mixTable) *dpBuf {
 //
 // Row n is read only at l = L, so only that cell of it is filled; every
 // other cell of row n keeps infCost.
+//
+// An unconstrained pass (both caps infCost) keeps its grids in buf as the
+// reference. A capped pass after it scans no candidates of a cell the
+// reference decides, the rule of epsPass.decides applied to one cell:
+//   - a cell that is infCost in the reference stays infCost;
+//   - a cell whose reference path fits both caps takes the reference's
+//     cost and choice. Tighter caps only remove candidates and every cell
+//     cost is monotone, so the candidates before the reference's choice
+//     still cost strictly more, the choice costs the same and the later
+//     ones no less, and the strict-improvement rule keeps (k, pi, cntB).
 func solveDP(t *Tables, order []int, bt *benefitTable, mt *mixTable, buf *dpBuf, capPre, capDec float64) (*Plan, error) {
 	s := t.Spec
 	n := len(order)
 	L := s.layerGroups()
 	w := L + 1
-	dp, choice := buf.cost, buf.choice
+	dp, choice, open := buf.cost, buf.choice, buf.open
+	capped := capPre < infCost || capDec < infCost
+	reuse := capped && buf.hasRef
 	for i := range dp {
 		dp[i] = infCost
 	}
 	dp[0] = 0
 	cells := 0
+	buf.reused = 0
 	for j := 1; j <= n; j++ {
 		row, prevRow := dp[j*w:(j+1)*w], dp[(j-1)*w:j*w]
-		for k := 1; k <= mt.kmax; k++ {
-			from, to := j+k-1, L-(n-j)
-			if j == n && from < L {
-				from = L
+		first, last := j, L-(n-j)
+		if j == n {
+			first = L
+		}
+		scan := 0
+		for l := first; l <= last; l++ {
+			i := j*w + l
+			switch {
+			case !reuse:
+				open[l] = true
+			case buf.refCost[i] >= infCost:
+				open[l] = false
+			case buf.refPre[i] <= capPre && buf.refDec[i] <= capDec:
+				row[l], choice[i] = buf.refCost[i], buf.refChoice[i]
+				open[l] = false
+				buf.reused++
+			default:
+				open[l] = true
 			}
-			if from > to {
+			if open[l] {
+				scan++
+			}
+		}
+		if scan == 0 {
+			continue
+		}
+		for k := 1; k <= mt.kmax; k++ {
+			from := j + k - 1
+			if from < first {
+				from = first
+			}
+			if from > last {
 				continue
 			}
 			mixes := buf.mixes[:0]
@@ -382,9 +428,9 @@ func solveDP(t *Tables, order []int, bt *benefitTable, mt *mixTable, buf *dpBuf,
 			if len(mixes) == 0 {
 				continue
 			}
-			for l := from; l <= to; l++ {
+			for l := from; l <= last; l++ {
 				prev := prevRow[l-k]
-				if prev >= infCost {
+				if !open[l] || prev >= infCost {
 					continue
 				}
 				lo := l - k
@@ -410,6 +456,9 @@ func solveDP(t *Tables, order []int, bt *benefitTable, mt *mixTable, buf *dpBuf,
 			}
 		}
 	}
+	if !capped {
+		buf.keepRef(mt, n, L)
+	}
 	obsDPCells(s.Obs, cells)
 	if dp[n*w+L] >= infCost {
 		return nil, nil
@@ -433,11 +482,7 @@ func solveDP(t *Tables, order []int, bt *benefitTable, mt *mixTable, buf *dpBuf,
 		for g := lo; g < l; g++ {
 			p.GroupBits[g] = s.Bits[pr[0]]
 		}
-		up, err := upgradedSet(s, ch.pi, bt, lo, ch.k, ch.cntB)
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range up {
+		for _, g := range upgradedSet(bt, ch.pi, lo, ch.k, ch.cntB) {
 			p.GroupBits[g] = s.Bits[pr[1]]
 		}
 		l = lo
@@ -446,6 +491,40 @@ func solveDP(t *Tables, order []int, bt *benefitTable, mt *mixTable, buf *dpBuf,
 		return nil, fmt.Errorf("assigner: DP reconstruction consumed %d groups, expected 0 left", l)
 	}
 	return p, nil
+}
+
+// keepRef stores the grids of the unconstrained pass just run on buf as
+// the reference, with the largest stage times on each reachable cell's
+// path, found by looking up each chosen mixture.
+func (buf *dpBuf) keepRef(mt *mixTable, n, L int) {
+	w := L + 1
+	copy(buf.refCost, buf.cost)
+	copy(buf.refChoice, buf.choice)
+	buf.refPre[0], buf.refDec[0] = math.Inf(-1), math.Inf(-1)
+	for j := 1; j <= n; j++ {
+		for l := j; l <= L-(n-j); l++ {
+			i := j*w + l
+			if buf.cost[i] >= infCost {
+				continue
+			}
+			ch := buf.choice[i]
+			m, from := mt.find(j, ch), i-w-ch.k
+			buf.refPre[i], buf.refDec[i] = math.Max(buf.refPre[from], m.pre), math.Max(buf.refDec[from], m.dec)
+		}
+	}
+	buf.hasRef = true
+}
+
+// find returns the mixture that choice ch of stage j names. Every choice a
+// pass makes is in the table; a NaN-timed stand-in for one that is not
+// would only keep ε passes from skipping cells or passes.
+func (mt *mixTable) find(j int, ch dpChoice) mixture {
+	for _, m := range mt.at(j, ch.k) {
+		if m.pi == ch.pi && m.cntB == ch.cntB {
+			return m
+		}
+	}
+	return mixture{pre: math.NaN(), dec: math.NaN()}
 }
 
 // benefitsFor builds (or fetches from the spec's cache) the full benefit
@@ -504,12 +583,8 @@ func lastPass(mt *mixTable, buf *dpBuf, n, L int, capPre, capDec float64, found 
 	e := epsPass{capPre: capPre, capDec: capDec, found: found, pathPre: math.Inf(-1), pathDec: math.Inf(-1)}
 	for j, l := n, L; found && j >= 1; j-- {
 		ch := buf.choice[j*(L+1)+l]
-		for _, m := range mt.at(j, ch.k) {
-			if m.pi == ch.pi && m.cntB == ch.cntB {
-				e.pathPre, e.pathDec = math.Max(e.pathPre, m.pre), math.Max(e.pathDec, m.dec)
-				break
-			}
-		}
+		m := mt.find(j, ch)
+		e.pathPre, e.pathDec = math.Max(e.pathPre, m.pre), math.Max(e.pathDec, m.dec)
 		l -= ch.k
 	}
 	return e
@@ -521,7 +596,8 @@ func lastPass(mt *mixTable, buf *dpBuf, n, L int, capPre, capDec float64, found 
 // benefit and mixture tables; the first error is returned, and a pass's
 // plan replaces the incumbent only on strict improvement. A grid pass
 // that an earlier pass decides (epsPass.decides) is not run: it would
-// find no plan, or the earlier pass's plan again.
+// find no plan, or the earlier pass's plan again. A grid pass that runs
+// takes every cell the unconstrained pass decides from it (solveDP).
 func solveStructured(t *Tables, order []int, bt *benefitTable) (*Plan, *Evaluation, error) {
 	s := t.Spec
 	n := len(order)

@@ -1,17 +1,21 @@
 package assigner
 
 // The structured-DP kernel as it stood before the stage-mixture table, the
-// O(1) ω lookup and the incremental benefit table: buildBenefits, flatten,
-// omegaFor and solveDP, verbatim except that they are renamed, omegaFor is
-// a function instead of a method, and solveDP also returns its cost table.
+// O(1) ω lookup, the incremental benefit table and the reuse of the
+// unconstrained pass's cells: buildBenefits, flatten, omegaFor, solveDP
+// and upgradedSet, verbatim except that they are renamed, omegaFor is a
+// function instead of a method, and solveDP also returns its cost table.
 // The oracle fills the whole last row; the kernel computes only (n, L).
-// TestDPMatchesOracle checks the production kernel against it.
+// TestDPMatchesOracle and FuzzDPMatchesOracle check the production kernel
+// against it, and TestUpgradedSetMatchesOracle the reflection-free
+// upgradedSet.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -102,6 +106,43 @@ func oracleOmegaFor(bt *benefitTable, pi, lo, k, cntB int) float64 {
 	}
 	ps := bt.prefix[pi][lo][off : off+k+1]
 	return base - ps[cntB]
+}
+
+// oracleUpgradedSet returns the cntB group indices in [lo,lo+k) with the largest
+// upgrade benefit for pair pi (recomputed directly; reconstruction only).
+func oracleUpgradedSet(s *Spec, pi int, bt *benefitTable, lo, k, cntB int) ([]int, error) {
+	pr := bt.pairs[pi]
+	bitsA, bitsB := s.Bits[pr[0]], s.Bits[pr[1]]
+	type lb struct {
+		idx int
+		ben float64
+	}
+	var arr []lb
+	for l := lo; l < lo+k; l++ {
+		wa, err := s.Omega.At(l, bitsA)
+		if err != nil {
+			return nil, err
+		}
+		wb, err := s.Omega.At(l, bitsB)
+		if err != nil {
+			return nil, err
+		}
+		arr = append(arr, lb{l, wa - wb})
+	}
+	sort.Slice(arr, func(i, j int) bool {
+		if arr[i].ben > arr[j].ben {
+			return true
+		}
+		if arr[i].ben < arr[j].ben {
+			return false
+		}
+		return arr[i].idx < arr[j].idx
+	})
+	var out []int
+	for i := 0; i < cntB; i++ {
+		out = append(out, arr[i].idx)
+	}
+	return out, nil
 }
 
 // oracleSolveDP finds the best plan for a fixed device order and micro-batch
@@ -203,7 +244,7 @@ func oracleSolveDP(t *Tables, order []int, bt *benefitTable, kmax int, capPre, c
 		for g := lo; g < l; g++ {
 			p.GroupBits[g] = s.Bits[pr[0]]
 		}
-		up, err := upgradedSet(s, ch.pi, bt, lo, ch.k, ch.cntB)
+		up, err := oracleUpgradedSet(s, ch.pi, bt, lo, ch.k, ch.cntB)
 		if err != nil {
 			return nil, dp, err
 		}
@@ -333,9 +374,12 @@ func sameFloat(a, b float64) bool {
 // bit-equal to the oracle's in rows 0…n−1 and at (n, L), the only cell of
 // row n the kernel computes; the rest of row n must hold infCost.
 // Quantized instances make costs tie, which pins the order in which a cell
-// meets its candidates, and put stage times exactly on caps.
+// meets its candidates, and put stage times exactly on caps. The capped
+// passes must between them take some cells from the unconstrained pass,
+// so that the comparison covers the kernel's cell reuse.
 func TestDPMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
+	reused := 0
 	for inst := 0; inst < 400; inst++ {
 		tb, order, quantized := randomDPInstance(rng)
 		s := tb.Spec
@@ -400,25 +444,142 @@ func TestDPMatchesOracle(t *testing.T) {
 		for _, c := range caps {
 			wantPlan, wantDP, wantErr := oracleSolveDP(tb, order, want, kmax, c[0], c[1])
 			gotPlan, gotErr := solveDP(tb, order, bt, mt, buf, c[0], c[1])
-			if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
-				t.Fatalf("instance %d caps %v: error %v, oracle %v", inst, c, gotErr, wantErr)
+			reused += buf.reused
+			checkDPPass(t, fmt.Sprintf("instance %d caps %v", inst, c), buf, n, L, gotPlan, gotErr, wantPlan, wantDP, wantErr)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no capped pass took a cell from the unconstrained pass: the check compares no reused cell")
+	}
+}
+
+// checkDPPass requires a solveDP pass on buf to match the oracle's: the
+// same error, a deep-equal plan, and a cost table bit-equal to the
+// oracle's in rows 0…n−1 and at (n, L), the only cell of row n the kernel
+// computes; every other cell of row n must still hold infCost.
+func checkDPPass(t *testing.T, name string, buf *dpBuf, n, L int, gotPlan *Plan, gotErr error, wantPlan *Plan, wantDP [][]float64, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
+		t.Fatalf("%s: error %v, oracle %v", name, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(wantPlan, gotPlan) {
+		t.Fatalf("%s: plan %+v, oracle %+v", name, gotPlan, wantPlan)
+	}
+	for j := range wantDP {
+		for l, v := range wantDP[j] {
+			if j == n && l != L {
+				v = infCost
 			}
-			if !reflect.DeepEqual(wantPlan, gotPlan) {
-				t.Fatalf("instance %d caps %v: plan %+v, oracle %+v", inst, c, gotPlan, wantPlan)
+			if got := buf.cost[j*(L+1)+l]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%s: dp[%d][%d] = %v, want %v", name, j, l, got, v)
 			}
-			// Rows 0…n−1 match cell for cell; of row n only (n, L) is
-			// computed, and every other cell of it must still hold infCost.
-			for j := range wantDP {
-				for l, v := range wantDP[j] {
-					if j == n && l != L {
-						v = infCost
+		}
+	}
+}
+
+// FuzzDPMatchesOracle runs, on randomDPInstance(seed) and one DP buffer,
+// an unconstrained pass and then a pass capped at the fractions fPre and
+// fDec of the unconstrained plan's largest stage times (of 0.05 s and
+// 0.005 s when it has none), and holds the capped pass to the oracle cell
+// for cell (checkDPPass).
+func FuzzDPMatchesOracle(f *testing.F) {
+	f.Add(int64(1), 0.92, 0.92)
+	f.Add(int64(2), 1.0, 0.45)
+	f.Add(int64(3), 0.4, 1.0)
+	f.Add(int64(4), 0.7, 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, fPre, fDec float64) {
+		tb, order, _ := randomDPInstance(rand.New(rand.NewSource(seed)))
+		s := tb.Spec
+		L, n := s.layerGroups(), len(order)
+		want, err := oracleBuildBenefits(s, L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt, err := buildBenefits(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kmax := L - (n - 1)
+		mt := newMixTable(tb, order, bt, kmax)
+		buf := newDPBuf(n, L, mt)
+		base, err := solveDP(tb, order, bt, mt, buf, infCost, infCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capPre, capDec := fPre*0.05, fDec*0.005
+		if base != nil {
+			if ev, err := Evaluate(tb, base); err == nil {
+				capPre, capDec = fPre*maxOf(ev.StagePre), fDec*maxOf(ev.StageDec)
+			}
+		}
+		wantPlan, wantDP, wantErr := oracleSolveDP(tb, order, want, kmax, capPre, capDec)
+		gotPlan, gotErr := solveDP(tb, order, bt, mt, buf, capPre, capDec)
+		checkDPPass(t, fmt.Sprintf("seed %d caps %v, %v", seed, capPre, capDec), buf, n, L, gotPlan, gotErr, wantPlan, wantDP, wantErr)
+	})
+}
+
+// TestUpgradedSetMatchesOracle: on seeded ω drawn mostly from a few
+// values, so that ranges hold tied, +0 and −0 and NaN benefits, upgradedSet
+// returns the oracle's index slice for every pair, range and count.
+func TestUpgradedSetMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	vals := []float64{0, math.Copysign(0, -1), 0.5, 1, math.NaN()}
+	var ties, zeros, nans int
+	for inst := 0; inst < 100; inst++ {
+		L := 1 + rng.Intn(24)
+		bits := []int{2, 4, 8}
+		omega := indicator.Omega{Bits: bits}
+		for l := 0; l < L; l++ {
+			row := make([]float64, len(bits))
+			for i := range row {
+				if row[i] = vals[rng.Intn(len(vals))]; rng.Intn(4) == 0 {
+					row[i] = rng.Float64()
+				}
+			}
+			omega.Values = append(omega.Values, row)
+		}
+		s := &Spec{Cfg: model.Config{Name: "ties", Layers: L}, Bits: bits, Omega: omega}
+		bt, err := buildBenefitBase(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, pr := range bt.pairs {
+			wa, wb := bt.omega[pr[0]], bt.omega[pr[1]]
+			for lo := 0; lo < L; lo++ {
+				seen := map[uint64]bool{}
+				var pos, neg bool
+				for k := 1; lo+k <= L; k++ {
+					switch v := wa[lo+k-1] - wb[lo+k-1]; {
+					case math.IsNaN(v):
+						nans++
+					case v == 0 && math.Signbit(v):
+						neg = true
+					case v == 0:
+						pos = true
 					}
-					if got := buf.cost[j*(L+1)+l]; math.Float64bits(got) != math.Float64bits(v) {
-						t.Fatalf("instance %d caps %v: dp[%d][%d] = %v, want %v", inst, c, j, l, got, v)
+					if b := math.Float64bits(wa[lo+k-1] - wb[lo+k-1]); seen[b] {
+						ties++
+					} else {
+						seen[b] = true
+					}
+					if pos && neg {
+						zeros++
+					}
+					for _, cntB := range []int{k, rng.Intn(k + 1)} {
+						want, err := oracleUpgradedSet(s, pi, bt, lo, k, cntB)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := upgradedSet(bt, pi, lo, k, cntB); !slices.Equal(got, want) {
+							t.Fatalf("instance %d pair %d range [%d, %d) count %d: %v, oracle %v", inst, pi, lo, lo+k, cntB, got, want)
+						}
 					}
 				}
 			}
 		}
+	}
+	if ties == 0 || zeros == 0 || nans == 0 {
+		t.Fatalf("ranges with ties %d, with both zeros %d, with NaN %d: each must be reached", ties, zeros, nans)
 	}
 }
 

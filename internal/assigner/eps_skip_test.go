@@ -32,14 +32,16 @@ func TestEpsSkipMatchesOracleOnTable3(t *testing.T) {
 }
 
 // benchDPCells is llmpq_solver_dp_cells_total after one cold solve of each
-// plan-failover spec. The heuristic clusters 4 and 5 run no DP.
-var benchDPCells = map[int]float64{3: 1181358, 4: 0, 5: 0, 6: 3133390, 7: 242252, 8: 380522}
+// plan-failover spec: the cells the DP passes scan, where a cell a capped
+// pass takes from the unconstrained pass counts none. The heuristic
+// clusters 4 and 5 run no DP.
+var benchDPCells = map[int]float64{3: 760007, 4: 0, 5: 0, 6: 1581393, 7: 173494, 8: 289082}
 
 // TestDPCellsPinned pins the DP cells of each benchmark cluster's cold
 // solve exactly, at parallelism 1, 4 and 8: the counter is a sum over
 // combinations, so it must not depend on the worker count, and a change
-// that widens the DP's domain or runs a pass the ε scan now skips shows
-// up as a diff here.
+// that widens the DP's domain, runs a pass the ε scan now skips or scans
+// a cell the unconstrained pass decides shows up as a diff here.
 func TestDPCellsPinned(t *testing.T) {
 	for _, cid := range benchClusters {
 		for _, workers := range []int{1, 4, 8} {

@@ -61,7 +61,7 @@ func Evaluate(t *Tables, p *Plan) (Evaluation, error) {
 	}
 	var pl pipeline
 	for j, d := range p.Order {
-		c := stageSums(t, p, j)
+		c := stageSums(t, p, j, nil)
 		pl.add(c)
 		ev.StagePre[j] = c.pre
 		ev.StageDec[j] = c.dec
@@ -87,16 +87,22 @@ type stageCost struct{ pre, dec, mem float64 }
 // stageSums prices stage j of p: its groups in order, then the embedding
 // on the first stage, the LM head and the return hop on the last, the hop
 // to the next stage, and the temporaries. p must have passed Validate, so
-// every group's bits are candidates.
-func stageSums(t *Tables, p *Plan, j int) stageCost {
+// every group's bits are candidates. bi, if not nil, holds each group's
+// Spec.Bits index, which is looked up otherwise.
+func stageSums(t *Tables, p *Plan, j int, bi []int) stageCost {
 	n := p.NumStages()
 	d := p.Order[j]
 	var c stageCost
 	for g := p.Boundaries[j]; g < p.Boundaries[j+1]; g++ {
-		bi := bitIndexIn(t.Spec.Bits, p.GroupBits[g])
-		c.pre += t.TPre[d][bi]
-		c.dec += t.TDec[d][bi]
-		c.mem += t.GroupMem[bi]
+		var b int
+		if bi != nil {
+			b = bi[g]
+		} else {
+			b = bitIndexIn(t.Spec.Bits, p.GroupBits[g])
+		}
+		c.pre += t.TPre[d][b]
+		c.dec += t.TDec[d][b]
+		c.mem += t.GroupMem[b]
 	}
 	if j == 0 {
 		c.pre += t.EmbedPre

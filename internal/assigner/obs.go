@@ -48,7 +48,9 @@ func obsPlanFail(r *obs.Registry, method Method, seconds float64, combinations i
 // reachable (stage, range end, group count) that can lie on a path to
 // (n, L), so the last stage only at range end L, the stage's
 // memory-feasible (pair, count) mixtures that meet the pass's time caps.
-// An ε pass that an earlier pass decides is not run and scans none.
+// A (stage, range end) cell that a capped pass takes from the
+// unconstrained pass scans none, and an ε pass that an earlier pass
+// decides is not run and scans none.
 func obsDPCells(r *obs.Registry, cells int) {
 	if r == nil || cells == 0 {
 		return

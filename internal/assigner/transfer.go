@@ -55,10 +55,13 @@ func bitwidthTransfer(t *Tables, start *Plan) (*Plan, *Evaluation, error) {
 
 // transferEval prices bitwidthTransfer's candidates by delta. A candidate
 // moves one boundary, which changes two stages, or steps one group's
-// bits, which changes one; only those stages are recomputed. Stages and
-// the pipeline are priced by Evaluate's own stageSums and pipeline, and ω
-// is summed afresh in group order rather than updated by a running delta,
-// so every candidate's objective is bit-identical to Evaluate's.
+// bits, which changes one; only those stages are recomputed, by Evaluate's
+// own stageSums, and the pipeline by Evaluate's pipeline. ω is summed as
+// Evaluate sums it, in group order, but from the incumbent's running sums:
+// a candidate that changes no bits takes the incumbent's total, and one
+// that changes group g takes the sum before g and adds ω of g onwards. The
+// additions are Evaluate's, in its order, so every candidate's objective
+// is bit-identical to Evaluate's.
 type transferEval struct {
 	t *Tables
 	p *Plan
@@ -68,21 +71,29 @@ type transferEval struct {
 	// omegaErr marks the entries whose Omega.At failed.
 	omega    []float64
 	omegaErr []bool
-	cur      []stageCost // the stages of the incumbent
-	cand     []stageCost // the stages of p
+	// run[g] is the incumbent's ω sum over groups 0…g-1; it is valid only
+	// if priced, that is, if every group of the incumbent has its ω.
+	run    []float64
+	priced bool
+	// moved is the group whose bits p changes, or -1.
+	moved int
+	cur   []stageCost // the stages of the incumbent
+	cand  []stageCost // the stages of p
 }
 
 // newTransferEval builds the delta evaluator on a scratch copy of
-// incumbent, which must have passed Evaluate.
+// incumbent, which must have passed Validate.
 func newTransferEval(t *Tables, incumbent *Plan) *transferEval {
 	s := t.Spec
 	nb := len(s.Bits)
+	L := len(incumbent.GroupBits)
 	d := &transferEval{
 		t:        t,
 		p:        clonePlan(incumbent),
-		bi:       make([]int, len(incumbent.GroupBits)),
-		omega:    make([]float64, len(incumbent.GroupBits)*nb),
-		omegaErr: make([]bool, len(incumbent.GroupBits)*nb),
+		bi:       make([]int, L),
+		omega:    make([]float64, L*nb),
+		omegaErr: make([]bool, L*nb),
+		run:      make([]float64, L+1),
 		cur:      make([]stageCost, incumbent.NumStages()),
 		cand:     make([]stageCost, incumbent.NumStages()),
 	}
@@ -99,30 +110,47 @@ func newTransferEval(t *Tables, incumbent *Plan) *transferEval {
 	return d
 }
 
-// load takes the scratch plan, which has just passed Evaluate, as the
+// load takes the scratch plan, which has passed Validate, as the
 // incumbent.
 func (d *transferEval) load() {
+	nb := len(d.t.Spec.Bits)
+	d.moved, d.priced = -1, true
+	for g, b := range d.bi {
+		if b < 0 || d.omegaErr[g*nb+b] {
+			d.priced = false
+			break
+		}
+		d.run[g+1] = d.run[g] + d.omega[g*nb+b]
+	}
 	for j := range d.cur {
-		d.cur[j] = stageSums(d.t, d.p, j)
+		d.cur[j] = stageSums(d.t, d.p, j, d.bi)
 	}
 	copy(d.cand, d.cur)
 }
 
 // score prices the scratch plan, in which a move has changed stages lo
-// through hi, and leaves their costs in cand. ok is false when a group's
-// bits or ω are missing from the tables; Evaluate must price it then.
+// through hi, and leaves their costs in cand. ok is false when a group of
+// the incumbent or of the scratch plan lacks its bits or ω in the tables;
+// Evaluate must price it then.
 func (d *transferEval) score(lo, hi int) (obj float64, feasible, ok bool) {
+	if !d.priced {
+		return 0, false, false
+	}
 	s := d.t.Spec
-	nb := len(s.Bits)
-	var omega float64
-	for g, b := range d.bi {
-		if b < 0 || d.omegaErr[g*nb+b] {
+	L := len(d.bi)
+	omega := d.run[L]
+	if g := d.moved; g >= 0 {
+		nb := len(s.Bits)
+		if b := d.bi[g]; b < 0 || d.omegaErr[g*nb+b] {
 			return 0, false, false
 		}
-		omega += d.omega[g*nb+b]
+		omega = d.run[g]
+		for h := g; h < L; h++ {
+			omega += d.omega[h*nb+d.bi[h]]
+		}
 	}
 	for j := lo; j <= hi; j++ {
-		d.cand[j] = stageSums(d.t, d.p, j)
+		d.cand[j] = stageSums(d.t, d.p, j, d.bi)
 	}
 	feasible = true
 	var pl pipeline
@@ -199,6 +227,10 @@ func (d *transferEval) shift(b, g, step int, visit func(lo, hi int) bool) bool {
 func (d *transferEval) try(g, bits, lo, hi int, visit func(lo, hi int) bool) bool {
 	old, oldBi := d.p.GroupBits[g], d.bi[g]
 	d.p.GroupBits[g], d.bi[g] = bits, bitIndexIn(d.t.Spec.Bits, bits)
+	d.moved = -1
+	if bits != old {
+		d.moved = g
+	}
 	if visit(lo, hi) {
 		return true
 	}

@@ -354,24 +354,76 @@ func TestTransferErrorMatchesOracle(t *testing.T) {
 	checkTransfer(t, tb, start)
 }
 
+// deltaWalk counts what checkDeltaWalk's walks reached.
+type deltaWalk struct {
+	infeasible int // candidates that overflow a device's memory
+	firstStep  int // in-place bit steps of group 0
+	lastStep   int // in-place bit steps of the last group
+	plainShift int // boundary shifts at the moved group's current bits
+	// fallbacks counts the candidates of start plans whose ω misses a
+	// bit, which the scorer leaves to Evaluate.
+	fallbacks int
+}
+
+func (w *deltaWalk) add(o deltaWalk) {
+	w.infeasible += o.infeasible
+	w.firstStep += o.firstStep
+	w.lastStep += o.lastStep
+	w.plainShift += o.plainShift
+	w.fallbacks += o.fallbacks
+}
+
+// missingOmega reports whether a group of p has bits ω lacks.
+func missingOmega(s *Spec, p *Plan) bool {
+	for g, bits := range p.GroupBits {
+		if _, err := s.Omega.At(g, bits); err != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // checkDeltaWalk walks every candidate of random plans for tb, sometimes
 // accepting one to move on, and requires the delta price of each to be
 // bit-equal to Evaluate on a clone: objective, feasibility and every
-// stage's prefill and decode time and memory. It returns how many of the
-// candidates were infeasible.
-func checkDeltaWalk(t testing.TB, tb *Tables, rng *rand.Rand, plans int) (infeasible int) {
+// stage's prefill and decode time and memory. The scorer must decline
+// (ok false, so Evaluate prices the candidate) exactly when a group of the
+// incumbent or of the candidate has bits ω lacks. It returns what the
+// walks reached.
+func checkDeltaWalk(t testing.TB, tb *Tables, rng *rand.Rand, plans int) (w deltaWalk) {
 	t.Helper()
+	L := tb.Spec.layerGroups()
 	for k := 0; k < plans; k++ {
 		d := newTransferEval(tb, randomPlan(rng, tb))
 		for step := 0; step < 4; step++ {
+			inc := clonePlan(d.p)
+			incMissing := missingOmega(tb.Spec, inc)
 			accepted := d.walk(func(lo, hi int) bool {
+				shifted := !reflect.DeepEqual(d.p.Boundaries, inc.Boundaries)
+				switch {
+				case shifted && reflect.DeepEqual(d.p.GroupBits, inc.GroupBits):
+					w.plainShift++
+				case !shifted && d.p.GroupBits[0] != inc.GroupBits[0]:
+					w.firstStep++
+				case !shifted && d.p.GroupBits[L-1] != inc.GroupBits[L-1]:
+					w.lastStep++
+				}
 				obj, feasible, ok := d.score(lo, hi)
+				if wantOK := !incMissing && !missingOmega(tb.Spec, d.p); ok != wantOK {
+					t.Fatalf("candidate %+v of %+v: ok %v, want %v", d.p, inc, ok, wantOK)
+				}
+				if !ok {
+					if step == 0 && incMissing {
+						w.fallbacks++
+					}
+					return rng.Intn(16) == 0
+				}
 				ev, err := Evaluate(tb, clonePlan(d.p))
-				if err != nil || !ok {
-					t.Fatalf("candidate %+v: ok %v, Evaluate error %v", d.p, ok, err)
+				if err != nil {
+					t.Fatalf("candidate %+v: Evaluate error %v", d.p, err)
 				}
 				if !feasible {
-					infeasible++
+					w.infeasible++
 				}
 				if math.Float64bits(obj) != math.Float64bits(ev.Objective) || feasible != ev.Feasible {
 					t.Fatalf("candidate %+v: objective %v feasible %v, Evaluate %v %v", d.p, obj, feasible, ev.Objective, ev.Feasible)
@@ -391,25 +443,47 @@ func checkDeltaWalk(t testing.TB, tb *Tables, rng *rand.Rand, plans int) (infeas
 			d.load()
 		}
 	}
-	return infeasible
+	return w
 }
 
 // TestDeltaMatchesEvaluate runs checkDeltaWalk over the tiny instances,
 // among them infeasible starts, single-stage plans, grouping 1 and 2, and
-// θ from 0 to 1000.
+// θ from 0 to 1000, and then over start plans whose ω misses a bit. The
+// walks must reach each edge of the scorer's ω prefix reuse: bit steps of
+// the first and the last group, shifts that change no bits, and the
+// fallback to Evaluate.
 func TestDeltaMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	infeasible := 0
-	for _, s := range tinyTransferSpecs(rng) {
+	var w deltaWalk
+	walk := func(s *Spec) {
 		for _, mb := range s.prefillCandidates() {
 			tb, err := BuildTables(s, ProfilerTimer{}, mb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			infeasible += checkDeltaWalk(t, tb, rng, 6)
+			w.add(checkDeltaWalk(t, tb, rng, 6))
 		}
 	}
-	if infeasible == 0 {
+	for _, s := range tinyTransferSpecs(rng) {
+		walk(s)
+	}
+	if w.infeasible == 0 {
 		t.Error("no candidate was infeasible: the instances no longer exercise the memory check")
+	}
+	s := tinySpec(MethodDP, 0.01, 2, 2)
+	s.Omega = subsetOmega(s.Omega, []int{4, 8})
+	walk(s)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"bit step of group 0", w.firstStep},
+		{"bit step of the last group", w.lastStep},
+		{"shift at the current bits", w.plainShift},
+		{"fallback from a start plan whose ω misses a bit", w.fallbacks},
+	} {
+		if c.n == 0 {
+			t.Errorf("no walk reached a %s", c.name)
+		}
 	}
 }

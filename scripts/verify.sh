@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full correctness gate: tier-1 verify, the llmpq-vet lint suite, the race
-# lane, the dist stress lane, a one-iteration benchmark lane, and a ~60 s
-# fuzz smoke (quantizer, serve decode, journal replay).
+# lane, the dist stress lane, a one-iteration benchmark lane, and a ~70 s
+# fuzz smoke (quantizer, serve decode, journal replay, DP kernel).
 # Mirrors `make verify-all`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -303,9 +303,10 @@ grep -q 'llmpq_online_completed_total' "$obsdir/serve1/sim.prom"
 if grep -q 'llmpq_serve_' "$obsdir/serve1/sim.prom"; then
     echo "verify.sh: wall-clock llmpq_serve_* families leaked into the sim artifact" >&2; exit 1
 fi
-echo "== fuzz smoke (Theorem-1 round-trip + group-wise pack + completion decode + journal replay, ~60s) =="
+echo "== fuzz smoke (Theorem-1 round-trip + group-wise pack + completion decode + journal replay + DP kernel, ~70s) =="
 go test -run='^$' -fuzz=FuzzQuantDequantRoundTrip -fuzztime=15s ./internal/quant
 go test -run='^$' -fuzz=FuzzGroupwisePack -fuzztime=15s ./internal/quant
 go test -run='^$' -fuzz=FuzzCompletionRequest -fuzztime=15s ./internal/serve
 go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime=15s ./internal/dist
+go test -run='^$' -fuzz=FuzzDPMatchesOracle -fuzztime=10s ./internal/assigner
 echo "verify.sh: all lanes green"
